@@ -285,6 +285,7 @@ main(int argc, char **argv)
     KernelConfig cfg;
     cfg.swapBytes = 32ull << 20;
     Kernel kernel(spec, cfg);
+    report.attachTrace(kernel.machine);
 
     // The shared text segment every task maps.
     std::vector<std::uint8_t> text(kTextPages * kernel.pageSize());

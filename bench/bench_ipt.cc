@@ -38,9 +38,10 @@ struct ShareResult
 
 ShareResult
 roundRobinShare(const MachineSpec &spec, unsigned tasks,
-                unsigned rounds)
+                unsigned rounds, bench::Report &report)
 {
     Kernel kernel(spec);
+    report.attachTrace(kernel.machine);
     VmSize page = kernel.pageSize();
 
     Task *first = kernel.taskCreate();
@@ -83,9 +84,10 @@ roundRobinShare(const MachineSpec &spec, unsigned tasks,
 
 /** A "normal application" mix: mostly private pages, one shared. */
 SimTime
-normalMix(const MachineSpec &spec)
+normalMix(const MachineSpec &spec, bench::Report &report)
 {
     Kernel kernel(spec);
+    report.attachTrace(kernel.machine);
     VmSize page = kernel.pageSize();
     Task *a = kernel.taskCreate();
 
@@ -135,7 +137,7 @@ main(int argc, char **argv)
                           MachineSpec::microVax2()}) {
             MachineSpec spec = arch;
             spec.physMemBytes = 8ull << 20;
-            ShareResult r = roundRobinShare(spec, tasks, 16);
+            ShareResult r = roundRobinShare(spec, tasks, 16, report);
             std::printf("%-10s %-10u %10llu %12llu %12s\n",
                         archTypeName(spec.arch), tasks,
                         (unsigned long long)r.faults,
@@ -158,7 +160,7 @@ main(int argc, char **argv)
     for (auto arch : {MachineSpec::rtPc(), MachineSpec::microVax2()}) {
         MachineSpec spec = arch;
         spec.physMemBytes = 8ull << 20;
-        SimTime mix = normalMix(spec);
+        SimTime mix = normalMix(spec, report);
         std::printf("  %-10s %12s\n", archTypeName(spec.arch),
                     bench::ms(mix).c_str());
         report.add(archTypeName(spec.arch), "normal_mix", double(mix),

@@ -27,10 +27,11 @@ namespace
 
 struct Fixture
 {
-    explicit Fixture(unsigned entries)
+    Fixture(unsigned entries, bench::Report &report)
         : spec(makeSpec()), machine(spec),
           pmaps(PmapSystem::build(machine))
     {
+        report.attachTrace(machine);
         pmaps->init(spec.hwPageSize());
         vm = std::make_unique<VmSys>(machine, *pmaps,
                                      spec.hwPageSize());
@@ -99,7 +100,7 @@ main(int argc, char **argv)
     std::printf("%-10s %16s %16s %12s\n", "entries", "hint on",
                 "hint off", "hit rate");
     for (unsigned n : {8u, 32u, 128u, 512u, 2048u}) {
-        Fixture f(n);
+        Fixture f(n, report);
         std::uint64_t lookups0 = f.vm->stats.lookups;
         std::uint64_t hits0 = f.vm->stats.hits;
         SimTime with = sequentialPass(f, n, true);

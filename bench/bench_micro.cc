@@ -27,6 +27,13 @@ namespace mach
 namespace
 {
 
+/**
+ * The run's report, set by main() before anything runs: the
+ * google-benchmark functions have a fixed signature, so the fixtures
+ * reach it here to attach `--trace-out` to every machine they build.
+ */
+bench::Report *report = nullptr;
+
 MachineSpec
 benchSpec()
 {
@@ -39,6 +46,7 @@ struct VmFixture
 {
     VmFixture() : machine(benchSpec()), pmaps(PmapSystem::build(machine))
     {
+        report->attachTrace(machine);
         pmaps->init(machine.spec.hwPageSize());
         vm = std::make_unique<VmSys>(machine, *pmaps,
                                      machine.spec.hwPageSize());
@@ -157,6 +165,7 @@ BM_CowFaultPair(benchmark::State &state)
     // Fork-style COW: shadow + page copy, the hot path of Table 7-1.
     MachineSpec spec = benchSpec();
     Kernel kernel(spec);
+    report->attachTrace(kernel.machine);
     VmSize page = kernel.pageSize();
     Task *parent = kernel.taskCreate();
     VmOffset addr = 0;
@@ -231,6 +240,7 @@ main(int argc, char **argv)
     // fault-throughput record, so the regression harness can treat
     // every bench binary uniformly.
     mach::bench::Report report("bench_micro", argc, argv);
+    mach::report = &report;
     if (report.jsonRequested()) {
         report.add("uvax2", "host_faults_per_second",
                    mach::hostFaultsPerSecond(), "host_rate");
@@ -238,5 +248,5 @@ main(int argc, char **argv)
     }
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -31,13 +31,14 @@ struct SweepResult
 };
 
 SweepResult
-run(unsigned multiple)
+run(unsigned multiple, bench::Report &report)
 {
     MachineSpec spec = MachineSpec::microVax2();
     spec.physMemBytes = 8ull << 20;
     KernelConfig cfg;
     cfg.machPageMultiple = multiple;
     Kernel kernel(spec, cfg);
+    report.attachTrace(kernel.machine);
     VmSize page = kernel.pageSize();
     Task *task = kernel.taskCreate();
 
@@ -84,7 +85,7 @@ main(int argc, char **argv)
     std::printf("%-10s | %10s %12s | %10s %12s\n", "page size",
                 "faults", "time", "faults", "time");
     for (unsigned multiple : {1u, 2u, 4u, 8u, 16u}) {
-        SweepResult r = run(multiple);
+        SweepResult r = run(multiple, report);
         std::printf("%7uB   | %10llu %12s | %10llu %12s\n",
                     512 * multiple,
                     (unsigned long long)r.denseFaults,

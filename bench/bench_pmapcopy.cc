@@ -33,11 +33,12 @@ struct Result
 
 /** Fork a 256K task, then have the child read @p read_fraction. */
 Result
-run(bool use_pmap_copy, unsigned read_percent)
+run(bool use_pmap_copy, unsigned read_percent, bench::Report &report)
 {
     MachineSpec spec = MachineSpec::microVax2();
     spec.physMemBytes = 8ull << 20;
     Kernel kernel(spec);
+    report.attachTrace(kernel.machine);
     kernel.pmaps->usePmapCopy = use_pmap_copy;
     VmSize size = 256 << 10;
 
@@ -83,7 +84,7 @@ main(int argc, char **argv)
                 "total");
     for (unsigned pct : {0u, 25u, 100u}) {
         for (bool on : {false, true}) {
-            Result r = run(on, pct);
+            Result r = run(on, pct, report);
             char reads[16];
             std::snprintf(reads, sizeof(reads), "%u%%", pct);
             std::printf("%-10s %-12s %12s %14s %12llu %14s\n",

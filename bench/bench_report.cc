@@ -25,7 +25,7 @@ Report::Report(std::string benchmark_, int argc, char **argv)
 }
 
 void
-Report::attachTrace(SimClock &clock, unsigned ncpus)
+Report::attachTrace(Machine &machine)
 {
     if (tracePath.empty())
         return;
@@ -34,8 +34,8 @@ Report::attachTrace(SimClock &clock, unsigned ncpus)
         sink = std::make_unique<TraceSink>(1 << 20);
     }
     sink->reset();
-    traceCpus = ncpus;
-    clock.setTraceSink(sink.get());
+    traceCpus = machine.numCpus();
+    machine.clock().setTraceSink(sink.get());
 }
 
 void
@@ -79,6 +79,29 @@ jsonNumber(double v)
 int
 Report::finish() const
 {
+    if (!path.empty()) {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        if (!f) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return 1;
+        }
+        std::fprintf(f, "[\n");
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const Record &r = records[i];
+            std::fprintf(f,
+                         "  {\"benchmark\": \"%s\", \"arch\": \"%s\", "
+                         "\"metric\": \"%s\", \"value\": %s, "
+                         "\"unit\": \"%s\"}%s\n",
+                         jsonEscape(benchmark).c_str(),
+                         jsonEscape(r.arch).c_str(),
+                         jsonEscape(r.metric).c_str(),
+                         jsonNumber(r.value).c_str(),
+                         jsonEscape(r.unit).c_str(),
+                         i + 1 < records.size() ? "," : "");
+        }
+        std::fprintf(f, "]\n");
+        std::fclose(f);
+    }
     if (!tracePath.empty()) {
         if (!sink) {
             std::fprintf(stderr,
@@ -92,29 +115,6 @@ Report::finish() const
             return 1;
         }
     }
-    if (path.empty())
-        return 0;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-    std::fprintf(f, "[\n");
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const Record &r = records[i];
-        std::fprintf(f,
-                     "  {\"benchmark\": \"%s\", \"arch\": \"%s\", "
-                     "\"metric\": \"%s\", \"value\": %s, "
-                     "\"unit\": \"%s\"}%s\n",
-                     jsonEscape(benchmark).c_str(),
-                     jsonEscape(r.arch).c_str(),
-                     jsonEscape(r.metric).c_str(),
-                     jsonNumber(r.value).c_str(),
-                     jsonEscape(r.unit).c_str(),
-                     i + 1 < records.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
     return 0;
 }
 

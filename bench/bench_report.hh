@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "hw/machine.hh"
 #include "sim/trace.hh"
 
 namespace mach::bench
@@ -47,21 +48,23 @@ class Report
     bool traceRequested() const { return !tracePath.empty(); }
 
     /**
-     * Attach the (lazily created) trace sink to @p clock, resetting
-     * it first: the exported file covers the last attached workload.
+     * Attach the (lazily created) trace sink to @p machine's clock,
+     * resetting it first: the exported file covers the last attached
+     * machine.  Every bench calls this on every machine it builds.
      * No-op unless `--trace-out` was given.  Tracing charges no
-     * simulated time, so the gated metrics are unaffected.
+     * simulated time and runs no other code, so the gated metrics
+     * are unaffected (CI reruns every bench traced to prove it).
      */
-    void attachTrace(SimClock &clock, unsigned ncpus);
+    void attachTrace(Machine &machine);
 
     /** Record one measured value. */
     void add(const std::string &arch, const std::string &metric,
              double value, const std::string &unit);
 
     /**
-     * Write the JSON file and/or the Chrome trace if requested.
+     * Write the JSON file, then the Chrome trace, if requested.
      * Returns the process exit code: non-zero when a file cannot be
-     * written.
+     * written or `--trace-out` was given but nothing was attached.
      */
     int finish() const;
 

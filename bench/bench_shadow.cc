@@ -39,9 +39,10 @@ struct Result
 };
 
 Result
-forkChain(unsigned generations, bool collapse)
+forkChain(unsigned generations, bool collapse, bench::Report &report)
 {
     Kernel kernel(test_spec());
+    report.attachTrace(kernel.machine);
     kernel.vm->collapseEnabled = collapse;
     VmSize page = kernel.pageSize();
 
@@ -93,7 +94,7 @@ main(int argc, char **argv)
                 "chain len", "fault cost", "objects");
     for (unsigned gens : {4u, 16u, 64u, 256u}) {
         for (bool collapse : {true, false}) {
-            Result r = forkChain(gens, collapse);
+            Result r = forkChain(gens, collapse, report);
             std::printf("%-12s %-10u %12u %14s %10llu\n",
                         collapse ? "on" : "off", gens, r.chainLength,
                         bench::ms(r.faultTime).c_str(),

@@ -34,11 +34,13 @@ struct StormResult
 };
 
 StormResult
-protectStorm(unsigned cpus, ShootdownMode mode, unsigned rounds)
+protectStorm(unsigned cpus, ShootdownMode mode, unsigned rounds,
+             bench::Report &report)
 {
     MachineSpec spec = MachineSpec::encoreMultimax(cpus);
     spec.physMemBytes = 8ull << 20;
     Kernel kernel(spec);
+    report.attachTrace(kernel.machine);
     kernel.pmaps->policy.protect = mode;
     VmSize page = kernel.pageSize();
 
@@ -98,11 +100,13 @@ struct BatchResult
 
 /** Build a kernel with a task running on every CPU. */
 std::unique_ptr<Kernel>
-bootOnCpus(unsigned cpus, bool batched, Task *&task)
+bootOnCpus(unsigned cpus, bool batched, Task *&task,
+           bench::Report &report)
 {
     MachineSpec spec = MachineSpec::encoreMultimax(cpus);
     spec.physMemBytes = 8ull << 20;
     auto kernel = std::make_unique<Kernel>(spec);
+    report.attachTrace(kernel->machine);
     kernel->pmaps->coalesceShootdowns = batched;
     task = kernel->taskCreate();
     for (unsigned c = 0; c < cpus; ++c) {
@@ -129,10 +133,11 @@ populate(Kernel &kernel, Task &task, unsigned cpus, VmSize size)
 /** Fork a task whose @p size bytes are dirty on every CPU (the
  *  pmap_copy_on_write storm of Table 7-1's fork rows). */
 BatchResult
-forkBench(unsigned cpus, VmSize size, bool batched)
+forkBench(unsigned cpus, VmSize size, bool batched,
+          bench::Report &report)
 {
     Task *task = nullptr;
-    auto kernel = bootOnCpus(cpus, batched, task);
+    auto kernel = bootOnCpus(cpus, batched, task, report);
     populate(*kernel, *task, cpus, size);
 
     std::uint64_t ipis0 = kernel->machine.ipiCount();
@@ -149,10 +154,11 @@ forkBench(unsigned cpus, VmSize size, bool batched)
  * many entries — unbatched, each entry flushes its own round.
  */
 BatchResult
-deallocBench(unsigned cpus, VmSize size, bool batched)
+deallocBench(unsigned cpus, VmSize size, bool batched,
+             bench::Report &report)
 {
     Task *task = nullptr;
-    auto kernel = bootOnCpus(cpus, batched, task);
+    auto kernel = bootOnCpus(cpus, batched, task, report);
     VmOffset addr = populate(*kernel, *task, cpus, size);
     VmSize chunk = size / 8;
     for (unsigned i = 0; i < 8; ++i) {
@@ -186,7 +192,7 @@ main(int argc, char **argv)
         for (auto mode : {ShootdownMode::Immediate,
                           ShootdownMode::Deferred,
                           ShootdownMode::Lazy}) {
-            StormResult r = protectStorm(cpus, mode, 32);
+            StormResult r = protectStorm(cpus, mode, 32, report);
             std::printf("%-6u %-11s %12s %8llu %10llu %8llu\n", cpus,
                         modeName(mode), bench::ms(r.time).c_str(),
                         (unsigned long long)r.ipis,
@@ -217,8 +223,8 @@ main(int argc, char **argv)
     std::printf("%-16s %-6s %12s %8s %12s %8s\n", "operation", "cpus",
                 "unbatched", "IPIs", "batched", "IPIs");
     for (unsigned cpus : {1u, 2u, 4u}) {
-        BatchResult un = forkBench(cpus, 256 * 1024, false);
-        BatchResult ba = forkBench(cpus, 256 * 1024, true);
+        BatchResult un = forkBench(cpus, 256 * 1024, false, report);
+        BatchResult ba = forkBench(cpus, 256 * 1024, true, report);
         std::printf("%-16s %-6u %12s %8llu %12s %8llu\n", "fork 256K",
                     cpus, bench::ms(un.time).c_str(),
                     (unsigned long long)un.ipis,
@@ -235,8 +241,10 @@ main(int argc, char **argv)
                    "count");
     }
     for (unsigned cpus : {1u, 2u, 4u}) {
-        BatchResult un = deallocBench(cpus, 1024 * 1024, false);
-        BatchResult ba = deallocBench(cpus, 1024 * 1024, true);
+        BatchResult un =
+            deallocBench(cpus, 1024 * 1024, false, report);
+        BatchResult ba =
+            deallocBench(cpus, 1024 * 1024, true, report);
         std::printf("%-16s %-6u %12s %8llu %12s %8llu\n",
                     "deallocate 1M", cpus, bench::ms(un.time).c_str(),
                     (unsigned long long)un.ipis,

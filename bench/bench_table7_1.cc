@@ -31,9 +31,10 @@ using bench::sec;
 
 /** Time to first-touch (zero fill) 1KB of fresh memory. */
 SimTime
-machZeroFill1K(const MachineSpec &spec)
+machZeroFill1K(const MachineSpec &spec, bench::Report &report)
 {
     Kernel kernel(spec);
+    report.attachTrace(kernel.machine);
     Task *task = kernel.taskCreate();
     // Warm up: context load and map creation are not what Table 7-1
     // measures.
@@ -49,9 +50,10 @@ machZeroFill1K(const MachineSpec &spec)
 }
 
 SimTime
-unixZeroFill1K(const MachineSpec &spec)
+unixZeroFill1K(const MachineSpec &spec, bench::Report &report)
 {
     Machine machine(spec);
+    report.attachTrace(machine);
     UnixVm unix_vm(machine, 120);
     UnixProc *proc = unix_vm.procCreate();
     VmOffset warm = 0;
@@ -67,15 +69,10 @@ unixZeroFill1K(const MachineSpec &spec)
 
 /** Time to fork a task with 256KB of dirty memory. */
 SimTime
-machFork256K(const MachineSpec &spec, bench::Report *report = nullptr)
+machFork256K(const MachineSpec &spec, bench::Report &report)
 {
     Kernel kernel(spec);
-    // `--trace-out`: capture this workload's event stream (the last
-    // machine measured wins; tracing charges no simulated time).
-    if (report) {
-        report->attachTrace(kernel.machine.clock(),
-                            kernel.machine.numCpus());
-    }
+    report.attachTrace(kernel.machine);
     Task *task = kernel.taskCreate();
     VmOffset addr = 0;
     VmSize size = 256 << 10;
@@ -91,9 +88,10 @@ machFork256K(const MachineSpec &spec, bench::Report *report = nullptr)
 }
 
 SimTime
-unixFork256K(const MachineSpec &spec)
+unixFork256K(const MachineSpec &spec, bench::Report &report)
 {
     Machine machine(spec);
+    report.attachTrace(machine);
     UnixVm unix_vm(machine, 120);
     UnixProc *proc = unix_vm.procCreate();
     VmOffset addr = 0;
@@ -117,12 +115,13 @@ struct ReadTimes
 
 /** Read a file of @p size twice through the Mach object cache. */
 ReadTimes
-machRead(const MachineSpec &spec, VmSize size)
+machRead(const MachineSpec &spec, VmSize size, bench::Report &report)
 {
     KernelConfig cfg;
     cfg.machPageMultiple = 2;  // 1K Mach pages on the 8200
     cfg.diskBytes = 64ull << 20;
     Kernel kernel(spec, cfg);
+    report.attachTrace(kernel.machine);
     kernel.createPatternFile("file", size, 7);
     std::vector<std::uint8_t> buf(size);
 
@@ -147,9 +146,10 @@ machRead(const MachineSpec &spec, VmSize size)
 
 /** The same through the 4.3bsd buffer cache (generic: 120 buffers). */
 ReadTimes
-unixRead(const MachineSpec &spec, VmSize size)
+unixRead(const MachineSpec &spec, VmSize size, bench::Report &report)
 {
     Machine machine(spec);
+    report.attachTrace(machine);
     UnixVm unix_vm(machine, 120);
     unix_vm.createPatternFile("file", size, 7);
     std::vector<std::uint8_t> buf(size);
@@ -209,8 +209,8 @@ main(int argc, char **argv)
          MachineSpec::sun3_160(), "0.23ms", "0.27ms"},
     };
     for (const ZfMachine &m : zf) {
-        SimTime mach_t = machZeroFill1K(m.spec);
-        SimTime unix_t = unixZeroFill1K(m.spec);
+        SimTime mach_t = machZeroFill1K(m.spec, report);
+        SimTime unix_t = unixZeroFill1K(m.spec, report);
         bench::row(m.label, ms(mach_t), ms(unix_t), m.paperMach,
                    m.paperUnix);
         report.add(m.arch, "mach_zero_fill_1k", double(mach_t), "ns");
@@ -226,8 +226,8 @@ main(int argc, char **argv)
          "68ms", "89ms"},
     };
     for (const ZfMachine &m : fk) {
-        SimTime mach_t = machFork256K(m.spec, &report);
-        SimTime unix_t = unixFork256K(m.spec);
+        SimTime mach_t = machFork256K(m.spec, report);
+        SimTime unix_t = unixFork256K(m.spec, report);
         bench::row(m.label, ms(mach_t), ms(unix_t), m.paperMach,
                    m.paperUnix);
         report.add(m.arch, "mach_fork_256k", double(mach_t), "ns");
@@ -240,8 +240,8 @@ main(int argc, char **argv)
                         const char *paper_first_u,
                         const char *paper_second_m,
                         const char *paper_second_u) {
-        ReadTimes m = machRead(MachineSpec::vax8200(), size);
-        ReadTimes u = unixRead(MachineSpec::vax8200(), size);
+        ReadTimes m = machRead(MachineSpec::vax8200(), size, report);
+        ReadTimes u = unixRead(MachineSpec::vax8200(), size, report);
         std::string label = std::string("read ") + size_tag + " file";
         bench::row(label + ", first",
                    sysElapsed(m.firstSystem, m.firstElapsed),

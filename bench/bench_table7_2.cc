@@ -83,7 +83,7 @@ sunForkTest()
 /** Run the workload under Mach. @p cache_kb 0 = unlimited cache. */
 SimTime
 machCompile(const MachineSpec &spec, const Workload &wl,
-            std::size_t cache_kb)
+            std::size_t cache_kb, bench::Report &report)
 {
     KernelConfig cfg;
     cfg.machPageMultiple = 2;  // 1K pages
@@ -92,6 +92,7 @@ machCompile(const MachineSpec &spec, const Workload &wl,
     cfg.cachedPageLimit =
         cache_kb ? (cache_kb << 10) / (spec.hwPageSize() * 2) : 0;
     Kernel kernel(spec, cfg);
+    report.attachTrace(kernel.machine);
 
     // Shared inputs.
     kernel.createPatternFile("cc1", wl.job.compilerBytes, 1);
@@ -173,9 +174,10 @@ machCompile(const MachineSpec &spec, const Workload &wl,
 /** Run the workload under the 4.3bsd baseline. */
 SimTime
 unixCompile(const MachineSpec &spec, const Workload &wl,
-            unsigned buffers)
+            unsigned buffers, bench::Report &report)
 {
     Machine machine(spec);
+    report.attachTrace(machine);
     UnixVm unix_vm(machine, buffers);
 
     unix_vm.createPatternFile("cc1", wl.job.compilerBytes, 1);
@@ -255,8 +257,8 @@ main(int argc, char **argv)
     bench::rowHeader();
     {
         Workload wl = smallPrograms();
-        SimTime m = machCompile(vax, wl, 400);
-        SimTime u = unixCompile(vax, wl, 400);
+        SimTime m = machCompile(vax, wl, 400, report);
+        SimTime u = unixCompile(vax, wl, 400, report);
         bench::row(wl.name, bench::sec(m), bench::sec(u), "23s",
                    "28s");
         report.add("vax8650", "mach_13_programs_400buf", double(m),
@@ -264,8 +266,8 @@ main(int argc, char **argv)
         report.add("vax8650", "unix_13_programs_400buf", double(u),
                    "ns");
         wl = kernelBuild();
-        m = machCompile(vax, wl, 400);
-        u = unixCompile(vax, wl, 400);
+        m = machCompile(vax, wl, 400, report);
+        u = unixCompile(vax, wl, 400, report);
         bench::row(wl.name, bench::minSec(m), bench::minSec(u),
                    "19:58", "23:38");
         report.add("vax8650", "mach_kernel_build_400buf", double(m),
@@ -278,8 +280,8 @@ main(int argc, char **argv)
     bench::rowHeader();
     {
         Workload wl = smallPrograms();
-        SimTime m = machCompile(vax, wl, 0);
-        SimTime u = unixCompile(vax, wl, 120);
+        SimTime m = machCompile(vax, wl, 0, report);
+        SimTime u = unixCompile(vax, wl, 120, report);
         bench::row(wl.name, bench::sec(m), bench::sec(u), "19s",
                    "1:16min");
         report.add("vax8650", "mach_13_programs_generic", double(m),
@@ -287,8 +289,8 @@ main(int argc, char **argv)
         report.add("vax8650", "unix_13_programs_generic", double(u),
                    "ns");
         wl = kernelBuild();
-        m = machCompile(vax, wl, 0);
-        u = unixCompile(vax, wl, 120);
+        m = machCompile(vax, wl, 0, report);
+        u = unixCompile(vax, wl, 120, report);
         bench::row(wl.name, bench::minSec(m), bench::minSec(u),
                    "15:50", "34:10");
         report.add("vax8650", "mach_kernel_build_generic", double(m),
@@ -302,8 +304,8 @@ main(int argc, char **argv)
     {
         MachineSpec sun = MachineSpec::sun3_160();
         Workload wl = sunForkTest();
-        SimTime m = machCompile(sun, wl, 0);
-        SimTime u = unixCompile(sun, wl, 120);
+        SimTime m = machCompile(sun, wl, 0, report);
+        SimTime u = unixCompile(sun, wl, 120, report);
         bench::row("compile fork test program", bench::sec(m),
                    bench::sec(u), "3s", "6s");
         report.add("sun3_160", "mach_fork_test_generic", double(m),

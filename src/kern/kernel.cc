@@ -28,6 +28,8 @@ Kernel::Kernel(const MachineSpec &spec, KernelConfig cfg)
     vm->defaultPager = &defaultPager;
     vm->objectCacheLimit = cfg.objectCacheLimit;
     vm->cachedPageLimit = cfg.cachedPageLimit;
+    disk.bindMetrics(vm->metrics, "disk.fs");
+    swapDisk.bindMetrics(vm->metrics, "disk.swap");
 
     current.assign(machine.numCpus(), nullptr);
 

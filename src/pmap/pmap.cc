@@ -61,43 +61,31 @@ void
 Pmap::enter(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
 {
     SimClock &clock = sys.getMachine().clock();
-    if (!traceActive(clock)) {
-        enterImpl(va, pa, prot, wired);
-        return;
-    }
     traceEmit(clock, TraceEventType::PmapEnter, wired ? 1 : 0, va, pa);
     SimTime t0 = clock.now();
     enterImpl(va, pa, prot, wired);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    sys.pmapOpLatency.record(clock.now() - t0);
 }
 
 void
 Pmap::remove(VmOffset start, VmOffset end)
 {
     SimClock &clock = sys.getMachine().clock();
-    if (!traceActive(clock)) {
-        removeImpl(start, end);
-        return;
-    }
     traceEmit(clock, TraceEventType::PmapRemove, 0, start, end);
     SimTime t0 = clock.now();
     removeImpl(start, end);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    sys.pmapOpLatency.record(clock.now() - t0);
 }
 
 void
 Pmap::protect(VmOffset start, VmOffset end, VmProt prot)
 {
     SimClock &clock = sys.getMachine().clock();
-    if (!traceActive(clock)) {
-        protectImpl(start, end, prot);
-        return;
-    }
     traceEmit(clock, TraceEventType::PmapProtect,
               static_cast<std::uint8_t>(prot), start, end);
     SimTime t0 = clock.now();
     protectImpl(start, end, prot);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    sys.pmapOpLatency.record(clock.now() - t0);
 }
 
 void
@@ -222,38 +210,29 @@ PmapSystem::pvQuiet(PhysAddr pa) const
 void
 PmapSystem::removeAll(PhysAddr pa, ShootdownMode mode)
 {
-    SimClock &clock = machine.clock();
-    if (!traceActive(clock)) {
-        // An empty PV chain means the Impl would be a pure no-op (no
-        // charges, no flushes); skip the dispatch.  Tracing callers
-        // still dispatch so the event stream is unchanged.
-        if (pvView && pvQuiet(pa))
-            return;
-        removeAllImpl(pa, mode);
+    // An empty PV chain makes the Impl a pure no-op (no charges, no
+    // flushes), so the call is skipped before it is traced or timed.
+    if (pvView && pvQuiet(pa))
         return;
-    }
+    SimClock &clock = machine.clock();
     traceEmit(clock, TraceEventType::PmapRemoveAll,
               static_cast<std::uint8_t>(mode), pa, 0);
     SimTime t0 = clock.now();
     removeAllImpl(pa, mode);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    pmapOpLatency.record(clock.now() - t0);
 }
 
 void
 PmapSystem::copyOnWrite(PhysAddr pa, ShootdownMode mode)
 {
-    SimClock &clock = machine.clock();
-    if (!traceActive(clock)) {
-        if (pvView && pvQuiet(pa))
-            return;
-        copyOnWriteImpl(pa, mode);
+    if (pvView && pvQuiet(pa))
         return;
-    }
+    SimClock &clock = machine.clock();
     traceEmit(clock, TraceEventType::PmapCow,
               static_cast<std::uint8_t>(mode), pa, 0);
     SimTime t0 = clock.now();
     copyOnWriteImpl(pa, mode);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    pmapOpLatency.record(clock.now() - t0);
 }
 
 void
@@ -474,7 +453,6 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
     // analyzer can recover the fan-out of each dispatch.
     SimTime t0 = machine.clock().now();
     const std::uint64_t round = ++shootdownRoundSeq;
-    unsigned remote = 0;
     for (unsigned i = 0; i < machine.numCpus(); ++i) {
         if (!targets.test(i))
             continue;
@@ -484,52 +462,12 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
             ++shootdownIpis;
             if (batched)
                 ++batchedIpis;
-            ++remote;
             traceEmit(machine.clock(), TraceEventType::Ipi, 0, i,
                       round);
             machine.ipi(i, flushCpu);
         }
     }
-    SimTime waited = machine.clock().now() - t0;
-    traceLatency(machine.clock(), TraceLatencyKind::Shootdown, waited);
-    noteShootdownRound(remote, waited);
-}
-
-void
-PmapSystem::noteShootdownRound(unsigned remote_targets, SimTime wait_ns)
-{
-    if constexpr (kTraceCompiled) {
-        MetricsRegistry *reg = machine.clock().metricsRegistry();
-        if (!reg)
-            return;
-        if (shootMetrics.reg != reg) {
-            // First round under this registry: resolve the shard
-            // arrays once; emission then bypasses registry dispatch.
-            shootMetrics.rounds =
-                reg->counterSlots(reg->counter("tlb.shootdown_rounds"));
-            shootMetrics.remoteTargets = reg->counterSlots(
-                reg->counter("tlb.shootdown_remote_targets"));
-            shootMetrics.waitNs = reg->histogramShards(
-                reg->histogram("tlb.shootdown_wait_ns"));
-            shootMetrics.nShards = reg->numCpus();
-            shootMetrics.reg = reg;
-        }
-        CpuId cpu = machine.clock().traceCpu();
-        unsigned s = cpu < shootMetrics.nShards ? cpu : 0;
-        // Single-threaded simulator: relaxed load+store, not a locked
-        // read-modify-write — this runs once per shootdown round.
-        auto &rounds = shootMetrics.rounds[s].v;
-        rounds.store(rounds.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-        auto &remotes = shootMetrics.remoteTargets[s].v;
-        remotes.store(remotes.load(std::memory_order_relaxed) +
-                          remote_targets,
-                      std::memory_order_relaxed);
-        shootMetrics.waitNs[s].record(wait_ns);
-    } else {
-        (void)remote_targets;
-        (void)wait_ns;
-    }
+    shootdownLatency.record(machine.clock().now() - t0);
 }
 
 void

@@ -98,12 +98,12 @@ class Pmap : public TranslationSource
     /**
      * @name Table 3-3: required operations
      *
-     * enter/remove/protect are non-virtual shells: they emit trace
-     * events and record per-operation latency (src/sim/trace.hh),
-     * then forward to the architecture's *Impl.  Subclasses calling
-     * their own implementation internally (e.g. protect degrading to
-     * remove) call the Impl directly so each machine-independent
-     * request is traced exactly once.
+     * enter/remove/protect are non-virtual shells: they emit a trace
+     * event, forward to the architecture's *Impl, and record the
+     * call's simulated time in PmapSystem::pmapOpLatency.  Subclasses
+     * calling their own implementation internally (e.g. protect
+     * degrading to remove) call the Impl directly so each
+     * machine-independent request is traced and timed exactly once.
      * @{
      */
     /**
@@ -264,9 +264,10 @@ class PmapSystem
     /**
      * @name Physical-page-indexed operations
      *
-     * Like Pmap::enter and friends these are tracing shells: the
+     * Like Pmap::enter and friends these are shells: the
      * machine-dependent work lives in removeAllImpl / copyOnWriteImpl
-     * so each request is traced exactly once.
+     * so each request is traced and timed exactly once.  A page with
+     * no mappings returns before either (see pvView).
      * @{
      */
     /** Remove a physical page from all maps [pageout]. */
@@ -372,6 +373,12 @@ class PmapSystem
     std::uint64_t pmegSteals = 0;      //!< SUN 3 page-map-group steals
     std::uint64_t tablePagesBuilt = 0; //!< lazily constructed tables
     std::uint64_t tablePagesFreed = 0;
+
+    /** Simulated time of each pmap enter/remove/protect/removeAll/
+     *  copyOnWrite call that reached the module. */
+    LatencyHistogram pmapOpLatency;
+    /** Simulated time of each immediate shootdown dispatch round. */
+    LatencyHistogram shootdownLatency;
     /** @} */
 
     /**
@@ -418,12 +425,13 @@ class PmapSystem
 
     /**
      * The module's physical-to-virtual table, when it keeps one.
-     * Lets the machine-independent shells skip the virtual dispatch
-     * into removeAllImpl / copyOnWriteImpl when a page provably has
-     * no mappings (common on the object-teardown path, where the map
-     * deallocation already emptied every chain).  Modules without a
-     * PV table (RT PC's inverted table) leave it null and always
-     * dispatch.
+     * Lets the machine-independent shells skip removeAllImpl /
+     * copyOnWriteImpl, their trace event and their latency sample
+     * when a page provably has no mappings (common on the
+     * object-teardown path, where the map deallocation already
+     * emptied every chain); the Impl would be a no-op.  Modules
+     * without a PV table (RT PC's inverted table) leave it null and
+     * always dispatch.
      */
     const PvTable *pvView = nullptr;
 
@@ -449,26 +457,6 @@ class PmapSystem
 
     /** True when pvView shows no mappings for the page at @p pa. */
     bool pvQuiet(PhysAddr pa) const;
-
-    /**
-     * Shootdown contention metrics, registered lazily against
-     * whatever registry the clock carries so the pmap layer needs no
-     * boot-order coupling with VmSys.  The raw shard arrays are
-     * cached (not just the ids) so the per-round emission is two
-     * relaxed adds and a histogram record with no registry dispatch.
-     */
-    struct ShootdownMetrics
-    {
-        MetricsRegistry *reg = nullptr; //!< registry the shards belong to
-        MetricsRegistry::Slot *rounds = nullptr;
-        MetricsRegistry::Slot *remoteTargets = nullptr;
-        LatencyHistogram *waitNs = nullptr;
-        unsigned nShards = 1; //!< registry CPU count (clamp bound)
-    };
-    ShootdownMetrics shootMetrics;
-
-    /** Record one immediate-mode round into the attached registry. */
-    void noteShootdownRound(unsigned remote_targets, SimTime wait_ns);
 
     /** Issue everything the open batch accumulated in one round. */
     void flushBatch();

@@ -7,121 +7,71 @@
 namespace mach
 {
 
-MetricsRegistry::MetricsRegistry(unsigned ncpus_)
-    : ncpus(ncpus_ ? ncpus_ : 1)
+SimTime
+LatencyHistogram::quantile(double p) const
 {
+    if (count_ == 0)
+        return 0;
+    if (p > 1.0)
+        p = 1.0;
+    std::uint64_t target =
+        static_cast<std::uint64_t>(p * double(count_) + 0.5);
+    if (target == 0)
+        target = 1;
+    std::uint64_t seen = 0;
+    for (unsigned i = 0; i < kBuckets; ++i) {
+        seen += buckets_[i];
+        if (seen >= target) {
+            SimTime hi = bucketUpperBound(i);
+            return hi > max_ ? max_ : hi;
+        }
+    }
+    return max_;
+}
+
+void
+LatencyHistogram::merge(const LatencyHistogram &other)
+{
+    if (other.count_ == 0)
+        return;
+    for (unsigned i = 0; i < kBuckets; ++i)
+        buckets_[i] += other.buckets_[i];
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+    count_ += other.count_;
+    sum_ += other.sum_;
 }
 
 MetricId
-MetricsRegistry::registerMetric(const std::string &name, MetricKind kind,
-                                const std::uint64_t *bound)
+MetricsRegistry::bindDef(Def def)
 {
-    auto it = byName.find(name);
+    auto it = byName.find(def.name);
     if (it != byName.end()) {
-        MACH_ASSERT(defs[it->second].kind == kind);
+        const Def &old = defs[it->second];
+        MACH_ASSERT(old.counter == def.counter &&
+                    old.histogram == def.histogram);
         return MetricId{it->second};
     }
-    Def def;
-    def.name = name;
-    def.kind = kind;
-    def.bound = bound;
-    if (!bound) {
-        if (kind == MetricKind::Histogram)
-            def.hists = std::make_unique<LatencyHistogram[]>(ncpus);
-        else
-            def.slots = std::make_unique<Slot[]>(ncpus);
-    }
     unsigned index = unsigned(defs.size());
+    byName.emplace(def.name, index);
     defs.push_back(std::move(def));
-    byName.emplace(name, index);
     return MetricId{index};
 }
 
 MetricId
-MetricsRegistry::counter(const std::string &name)
+MetricsRegistry::bind(const std::string &name,
+                      const std::uint64_t *counter)
 {
-    return registerMetric(name, MetricKind::Counter, nullptr);
-}
-
-MetricId
-MetricsRegistry::gauge(const std::string &name)
-{
-    return registerMetric(name, MetricKind::Gauge, nullptr);
-}
-
-MetricId
-MetricsRegistry::histogram(const std::string &name)
-{
-    return registerMetric(name, MetricKind::Histogram, nullptr);
+    MACH_ASSERT(counter != nullptr);
+    return bindDef(Def{name, counter, nullptr});
 }
 
 MetricId
 MetricsRegistry::bind(const std::string &name,
-                      const std::uint64_t *storage)
+                      const LatencyHistogram *histogram)
 {
-    MACH_ASSERT(storage != nullptr);
-    return registerMetric(name, MetricKind::Counter, storage);
-}
-
-void
-MetricsRegistry::add(MetricId id, std::uint64_t delta, CpuId cpu)
-{
-    if (!id.valid())
-        return;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Counter && !def.bound);
-    // The simulator is single-threaded: a relaxed load+store bumps
-    // the shard without the locked read-modify-write an RMW atomic
-    // would cost on the fault hot path.
-    Slot &slot = def.slots[cpu < ncpus ? cpu : 0];
-    slot.v.store(slot.v.load(std::memory_order_relaxed) + delta,
-                 std::memory_order_relaxed);
-}
-
-void
-MetricsRegistry::addGauge(MetricId id, std::int64_t delta, CpuId cpu)
-{
-    if (!id.valid())
-        return;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Gauge);
-    // Two's-complement wraparound makes the summed shards correct
-    // even when one shard goes transiently "negative" (a page wired
-    // on CPU 0 and unwired on CPU 2).
-    Slot &slot = def.slots[cpu < ncpus ? cpu : 0];
-    slot.v.store(slot.v.load(std::memory_order_relaxed) +
-                     static_cast<std::uint64_t>(delta),
-                 std::memory_order_relaxed);
-}
-
-void
-MetricsRegistry::record(MetricId id, SimTime ns, CpuId cpu)
-{
-    if (!id.valid())
-        return;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Histogram);
-    def.hists[cpu < ncpus ? cpu : 0].record(ns);
-}
-
-MetricsRegistry::Slot *
-MetricsRegistry::counterSlots(MetricId id)
-{
-    if (!id.valid())
-        return nullptr;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind != MetricKind::Histogram && !def.bound);
-    return def.slots.get();
-}
-
-LatencyHistogram *
-MetricsRegistry::histogramShards(MetricId id)
-{
-    if (!id.valid())
-        return nullptr;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Histogram);
-    return def.hists.get();
+    MACH_ASSERT(histogram != nullptr);
+    return bindDef(Def{name, nullptr, histogram});
 }
 
 std::uint64_t
@@ -130,31 +80,8 @@ MetricsRegistry::value(MetricId id) const
     if (!id.valid())
         return 0;
     const Def &def = defs[id.index];
-    if (def.bound)
-        return *def.bound;
-    std::uint64_t sum = 0;
-    for (unsigned c = 0; c < ncpus; ++c)
-        sum += def.slots[c].v.load(std::memory_order_relaxed);
-    return sum;
-}
-
-std::int64_t
-MetricsRegistry::gaugeValue(MetricId id) const
-{
-    return static_cast<std::int64_t>(value(id));
-}
-
-LatencyHistogram
-MetricsRegistry::histogramValue(MetricId id) const
-{
-    LatencyHistogram merged;
-    if (!id.valid())
-        return merged;
-    const Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Histogram);
-    for (unsigned c = 0; c < ncpus; ++c)
-        merged.merge(def.hists[c]);
-    return merged;
+    MACH_ASSERT(def.counter != nullptr);
+    return *def.counter;
 }
 
 MetricId
@@ -168,26 +95,16 @@ MetricsRegistry::Snapshot
 MetricsRegistry::snapshot() const
 {
     Snapshot snap;
-    for (unsigned i = 0; i < defs.size(); ++i) {
-        const Def &def = defs[i];
-        MetricId id{i};
-        switch (def.kind) {
-          case MetricKind::Counter:
-            snap.counters.emplace_back(def.name, value(id));
-            break;
-          case MetricKind::Gauge:
-            snap.gauges.emplace_back(def.name, gaugeValue(id));
-            break;
-          case MetricKind::Histogram:
-            snap.histograms.emplace_back(def.name, histogramValue(id));
-            break;
-        }
+    for (const Def &def : defs) {
+        if (def.counter)
+            snap.counters.emplace_back(def.name, *def.counter);
+        else
+            snap.histograms.emplace_back(def.name, *def.histogram);
     }
     auto byFirst = [](const auto &a, const auto &b) {
         return a.first < b.first;
     };
     std::sort(snap.counters.begin(), snap.counters.end(), byFirst);
-    std::sort(snap.gauges.begin(), snap.gauges.end(), byFirst);
     std::sort(snap.histograms.begin(), snap.histograms.end(), byFirst);
     return snap;
 }
@@ -202,20 +119,14 @@ MetricsRegistry::Snapshot::counterValue(const std::string &name) const
     return 0;
 }
 
-void
-MetricsRegistry::reset()
+LatencyHistogram
+MetricsRegistry::Snapshot::histogram(const std::string &name) const
 {
-    for (Def &def : defs) {
-        if (def.bound)
-            continue;
-        if (def.kind == MetricKind::Histogram) {
-            for (unsigned c = 0; c < ncpus; ++c)
-                def.hists[c].reset();
-        } else {
-            for (unsigned c = 0; c < ncpus; ++c)
-                def.slots[c].v.store(0, std::memory_order_relaxed);
-        }
+    for (const auto &[n, h] : histograms) {
+        if (n == name)
+            return h;
     }
+    return {};
 }
 
 } // namespace mach

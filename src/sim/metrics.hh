@@ -2,58 +2,109 @@
  * @file
  * The VM metrics registry (the introspection layer's counter plane).
  *
- * A MetricsRegistry holds named counters, gauges and log2 latency
- * histograms.  Metrics come in two tiers:
+ * Every statistic is a plain field stored once, in the layer that
+ * updates it: the vm_statistics counters and the fault / pageout
+ * latency histograms in VmSys::stats, the shootdown and table
+ * counters plus the pmap-operation and shootdown-round histograms on
+ * PmapSystem, the transfer counters and latency histogram on each
+ * SimDisk.  Hot paths update them directly (`++stats.x`,
+ * `hist.record(ns)`), whether or not anything is observing.
  *
- *  - *bound* metrics wrap external storage (the paper-mandated
- *    vm_statistics counters in VmSys::stats keep their direct
- *    `++stats.x` form — zero overhead, present in every build) and
- *    are exposed by name through snapshot();
- *  - *owned* metrics are allocated by the registry with one
- *    cache-line-padded relaxed-atomic slot per CPU, so the future
- *    host-threaded parallel kernel can increment them without
- *    contention; snapshot() merges the shards.
+ * A MetricsRegistry is only a table of names over that storage:
+ * bind() gives a field a name, and value() / snapshot() read the
+ * storage when asked.  The simulator runs on one host thread, so
+ * there is nothing to merge and nothing to synchronize.
  *
- * Cost discipline mirrors src/sim/trace.hh: the registry rides on the
- * SimClock next to the trace sink, every emit helper first tests that
- * pointer (one predictable branch + one relaxed increment when a
- * registry is attached), metrics never charge simulated time, and
- * building with -DMACHVM_TRACE=OFF compiles the emit helpers out of
- * the hot paths entirely (tools/check_notrace.py verifies that at the
- * symbol level).
- *
- * The same header defines VmAccounting, the per-task / per-object
- * attribution record maintained at the vm_fault / vm_pageout emit
- * sites and surfaced through the task_info-style API in vm_user.
+ * The same header defines LatencyHistogram and VmAccounting, the
+ * per-task / per-object attribution record maintained at the
+ * vm_fault / vm_pageout sites and surfaced through the
+ * task_info-style API in vm_user.
  */
 
 #ifndef MACH_SIM_METRICS_HH
 #define MACH_SIM_METRICS_HH
 
+#include <algorithm>
 #include <array>
-#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
-#include "sim/sim_clock.hh"
 #include "sim/trace.hh"
 
 namespace mach
 {
 
-/** What a registered metric measures. */
-enum class MetricKind : std::uint8_t
+/**
+ * A log2-bucketed histogram of simulated nanoseconds.  Cheap enough
+ * to update per event; rich enough for benchmarks to report counts,
+ * totals and approximate quantiles.
+ */
+class LatencyHistogram
 {
-    Counter = 0, //!< monotonically increasing event count
-    Gauge,       //!< signed level (resident pages, queue depth)
-    Histogram,   //!< log2-bucketed latency distribution
+  public:
+    /** Bucket i holds samples with bit_width(ns) == i (0 = zero). */
+    static constexpr unsigned kBuckets = 48;
+
+    void
+    record(SimTime ns)
+    {
+        ++buckets_[bucketOf(ns)];
+        ++count_;
+        sum_ += ns;
+        min_ = std::min(min_, ns);
+        max_ = std::max(max_, ns);
+    }
+
+    std::uint64_t count() const { return count_; }
+    SimTime total() const { return sum_; }
+    SimTime min() const { return count_ ? min_ : 0; }
+    SimTime max() const { return max_; }
+    SimTime mean() const { return count_ ? sum_ / count_ : 0; }
+    std::uint64_t bucketCount(unsigned i) const { return buckets_[i]; }
+
+    /** Inclusive upper bound of bucket @p i (its samples are ≤ it). */
+    static SimTime
+    bucketUpperBound(unsigned i)
+    {
+        if (i == 0)
+            return 0;
+        if (i >= 64)
+            return ~SimTime(0);
+        return (SimTime(1) << i) - 1;
+    }
+
+    /**
+     * Approximate quantile: the upper bound of the first bucket at
+     * which the cumulative count reaches @p p * count (0 < p <= 1).
+     */
+    SimTime quantile(double p) const;
+
+    void merge(const LatencyHistogram &other);
+    void reset() { *this = LatencyHistogram{}; }
+
+    bool operator==(const LatencyHistogram &) const = default;
+
+  private:
+    static unsigned
+    bucketOf(SimTime ns)
+    {
+        unsigned w = std::bit_width(std::uint64_t(ns));
+        return w < kBuckets ? w : kBuckets - 1;
+    }
+
+    std::array<std::uint64_t, kBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    SimTime sum_ = 0;
+    SimTime min_ = ~SimTime(0); //!< reads as 0 through min() when empty
+    SimTime max_ = 0;
 };
 
-/** Opaque handle to a registered metric (index into the registry). */
+/** Opaque handle to a bound metric (index into the registry). */
 struct MetricId
 {
     static constexpr unsigned kInvalid = ~0u;
@@ -63,9 +114,9 @@ struct MetricId
 
 /**
  * Attribution record for one task (via its VmMap) or one VmObject:
- * where that task's faults went, what I/O it caused.  Updated by the
- * inline helpers below (compiled out with the trace layer), read by
- * vmTaskInfo / the introspection tests.
+ * where that task's faults went, what I/O it caused.  Updated at the
+ * vm_fault / vm_pageout sites, read by vmTaskInfo and the
+ * introspection tests.
  */
 struct VmAccounting
 {
@@ -74,6 +125,13 @@ struct VmAccounting
     /** Faults by resolution, indexed by TraceFaultKind. */
     std::array<std::uint64_t, kNumFaultKinds> faultsByKind{};
     std::uint64_t pageouts = 0; //!< pages of this object laundered
+
+    /** Attribute one resolved fault. */
+    void
+    countFault(TraceFaultKind kind)
+    {
+        ++faultsByKind[static_cast<unsigned>(kind)];
+    }
 
     std::uint64_t
     faults() const
@@ -113,196 +171,62 @@ struct VmAccounting
 };
 
 /**
- * The registry proper.  Registration (boot-time, cold) hands back
- * MetricIds; the emit paths use only those ids.  All mutation of
- * owned metrics is relaxed-atomic on a per-CPU shard.
+ * The registry proper: names bound to counters and histograms that
+ * live elsewhere.  Binding is boot-time and cold; reading happens
+ * only when someone asks.  The bound storage must outlive every read.
  */
 class MetricsRegistry
 {
   public:
-    /** One cache line per CPU so shards never false-share. */
-    struct alignas(64) Slot
-    {
-        std::atomic<std::uint64_t> v{0};
-    };
-
-    explicit MetricsRegistry(unsigned ncpus = 1);
+    MetricsRegistry() = default;
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    /** @name Registration (find-or-create by name) @{ */
-    MetricId counter(const std::string &name);
-    MetricId gauge(const std::string &name);
-    MetricId histogram(const std::string &name);
-
     /**
-     * Expose an externally stored counter (e.g. a VmStatistics
-     * field) by name.  The storage must outlive the registry; it is
-     * read at snapshot time only.
+     * Name a counter or histogram.  Binding a name again to the same
+     * storage returns the existing id; binding it to different
+     * storage is a programming error.
      */
-    MetricId bind(const std::string &name, const std::uint64_t *storage);
-    /** @} */
+    MetricId bind(const std::string &name, const std::uint64_t *counter);
+    MetricId bind(const std::string &name,
+                  const LatencyHistogram *histogram);
 
-    /** @name Emission (hot; relaxed, sharded) @{ */
-    void add(MetricId id, std::uint64_t delta, CpuId cpu);
-    void addGauge(MetricId id, std::int64_t delta, CpuId cpu);
-    void record(MetricId id, SimTime ns, CpuId cpu);
-
-    /**
-     * Raw shard arrays (numCpus() entries) of an owned metric, for
-     * call sites hot enough that even the id-indexed add() dispatch
-     * shows up.  The arrays are stable for the registry's lifetime
-     * (later registrations never move them); callers clamp the CPU
-     * index to numCpus() themselves, as add() does.
-     */
-    Slot *counterSlots(MetricId id);
-    LatencyHistogram *histogramShards(MetricId id);
-    /** @} */
-
-    /** @name Snapshot / query (cold; merges shards) @{ */
-    /** Merged value of a counter or bound metric. */
+    /** Current value of a bound counter. */
     std::uint64_t value(MetricId id) const;
-    /** Merged (summed-shard) value of a gauge. */
-    std::int64_t gaugeValue(MetricId id) const;
-    /** Merged histogram. */
-    LatencyHistogram histogramValue(MetricId id) const;
+
+    MetricId find(const std::string &name) const;
+    std::size_t size() const { return defs.size(); }
 
     struct Snapshot
     {
-        /** name -> merged value, counters and bound metrics. */
+        /** name -> value of every counter, sorted by name. */
         std::vector<std::pair<std::string, std::uint64_t>> counters;
-        /** name -> merged level. */
-        std::vector<std::pair<std::string, std::int64_t>> gauges;
-        /** name -> merged distribution. */
+        /** name -> copy of every histogram, sorted by name. */
         std::vector<std::pair<std::string, LatencyHistogram>> histograms;
 
         /** Convenience lookup; 0 when absent. */
         std::uint64_t counterValue(const std::string &name) const;
+        /** Convenience lookup; empty when absent. */
+        LatencyHistogram histogram(const std::string &name) const;
     };
 
-    /** Merge every shard of every metric, sorted by name. */
+    /** Read every bound metric. */
     Snapshot snapshot() const;
-
-    MetricId find(const std::string &name) const;
-    std::size_t size() const { return defs.size(); }
-    unsigned numCpus() const { return ncpus; }
-
-    /** Zero every owned metric (bound storage is not touched). */
-    void reset();
-    /** @} */
 
   private:
     struct Def
     {
         std::string name;
-        MetricKind kind = MetricKind::Counter;
-        const std::uint64_t *bound = nullptr; //!< external storage
-        std::unique_ptr<Slot[]> slots;        //!< ncpus scalar shards
-        std::unique_ptr<LatencyHistogram[]> hists; //!< ncpus shards
+        const std::uint64_t *counter = nullptr;
+        const LatencyHistogram *histogram = nullptr;
     };
 
-    MetricId registerMetric(const std::string &name, MetricKind kind,
-                            const std::uint64_t *bound);
+    MetricId bindDef(Def def);
 
-    unsigned ncpus;
     std::vector<Def> defs;
     std::unordered_map<std::string, unsigned> byName;
 };
-
-/**
- * @name Emit helpers
- *
- * The per-call-site cost: nothing at all under MACHVM_TRACE=OFF; one
- * branch on the clock's registry pointer otherwise.  CPU attribution
- * reuses the clock's mirrored current CPU (see SimClock::traceCpu).
- * @{
- */
-
-/** Is a registry attached (and compiled in)?  One branch when not. */
-inline bool
-metricsActive(const SimClock &clock)
-{
-    if constexpr (!kTraceCompiled)
-        return false;
-    else
-        return clock.metricsRegistry() != nullptr;
-}
-
-/** Bump a counter by @p delta. */
-inline void
-metricAdd(SimClock &clock, MetricId id, std::uint64_t delta = 1)
-{
-    if constexpr (kTraceCompiled) {
-        if (MetricsRegistry *m = clock.metricsRegistry())
-            m->add(id, delta, clock.traceCpu());
-    } else {
-        (void)clock;
-        (void)id;
-        (void)delta;
-    }
-}
-
-/** Move a gauge by @p delta (may be negative). */
-inline void
-metricGauge(SimClock &clock, MetricId id, std::int64_t delta)
-{
-    if constexpr (kTraceCompiled) {
-        if (MetricsRegistry *m = clock.metricsRegistry())
-            m->addGauge(id, delta, clock.traceCpu());
-    } else {
-        (void)clock;
-        (void)id;
-        (void)delta;
-    }
-}
-
-/** Record a latency sample into a registered histogram. */
-inline void
-metricRecord(SimClock &clock, MetricId id, SimTime ns)
-{
-    if constexpr (kTraceCompiled) {
-        if (MetricsRegistry *m = clock.metricsRegistry())
-            m->record(id, ns, clock.traceCpu());
-    } else {
-        (void)clock;
-        (void)id;
-        (void)ns;
-    }
-}
-
-/**
- * Attribute one resolved fault to an accounting record (a task's map
- * or the satisfying object).  Enabled by the same registry switch so
- * a detached system pays one branch.
- */
-inline void
-acctFault(SimClock &clock, VmAccounting *acct, TraceFaultKind kind)
-{
-    if constexpr (kTraceCompiled) {
-        if (acct && clock.metricsRegistry())
-            ++acct->faultsByKind[static_cast<unsigned>(kind)];
-    } else {
-        (void)clock;
-        (void)acct;
-        (void)kind;
-    }
-}
-
-/** Attribute one laundered page to its owning object's record. */
-inline void
-acctPageout(SimClock &clock, VmAccounting *acct)
-{
-    if constexpr (kTraceCompiled) {
-        if (acct && clock.metricsRegistry())
-            ++acct->pageouts;
-    } else {
-        (void)clock;
-        (void)acct;
-    }
-}
-
-/** @} */
 
 } // namespace mach
 

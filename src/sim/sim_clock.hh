@@ -21,7 +21,6 @@ namespace mach
 {
 
 class TraceSink;
-class MetricsRegistry;
 
 /** What kind of work a charge represents. */
 enum class CostKind : unsigned
@@ -81,7 +80,7 @@ class SimClock
      *
      * The clock carries the trace sink because every layer that
      * charges time already holds the clock; emit sites go through
-     * the inline helpers in trace.hh, which test this pointer first.
+     * traceEmit() in trace.hh, which tests this pointer first.
      * The Machine mirrors its current CPU here so events can be
      * stamped without reaching back into hw/.
      * @{
@@ -90,16 +89,6 @@ class SimClock
     void setTraceSink(TraceSink *sink) { trace = sink; }
     CpuId traceCpu() const { return tCpu; }
     void setTraceCpu(CpuId cpu) { tCpu = cpu; }
-
-    /**
-     * The metrics registry rides here for the same reason the trace
-     * sink does: every layer that charges time already holds the
-     * clock, so metric emission is one pointer test away
-     * (src/sim/metrics.hh).  VmSys attaches its registry at
-     * construction.
-     */
-    MetricsRegistry *metricsRegistry() const { return metrics; }
-    void setMetricsRegistry(MetricsRegistry *reg) { metrics = reg; }
 
     /**
      * The task the kernel is currently working for (0 = none/kernel
@@ -113,7 +102,6 @@ class SimClock
   private:
     SimTime time = 0;
     TraceSink *trace = nullptr;
-    MetricsRegistry *metrics = nullptr;
     CpuId tCpu = 0;
     std::uint32_t tTask = 0;
     std::array<SimTime, numKinds> byKind{};

@@ -16,6 +16,16 @@ SimDisk::SimDisk(SimClock &clock, const CostModel &costs,
 }
 
 void
+SimDisk::bindMetrics(MetricsRegistry &reg, const std::string &prefix) const
+{
+    reg.bind(prefix + ".reads", &reads);
+    reg.bind(prefix + ".writes", &writes);
+    reg.bind(prefix + ".bytes", &bytes);
+    reg.bind(prefix + ".errors", &errors);
+    reg.bind(prefix + ".transfer_ns", &transferNs);
+}
+
+void
 SimDisk::checkRange(std::uint64_t offset, std::uint64_t len) const
 {
     if (offset + len > store.size() || offset + len < offset) {
@@ -40,7 +50,7 @@ SimDisk::injectionFor(bool is_write, std::uint64_t offset,
         SimTime cost = costs.diskCost(len);
         clock.charge(CostKind::Disk, cost);
         ++errors;
-        traceLatency(clock, TraceLatencyKind::Disk, cost);
+        transferNs.record(cost);
         traceEmit(clock, TraceEventType::IoError,
                   static_cast<std::uint8_t>(pr), offset,
                   static_cast<std::uint64_t>(
@@ -61,7 +71,7 @@ SimDisk::read(std::uint64_t offset, void *buf, std::uint64_t len)
     clock.charge(CostKind::Disk, cost);
     ++reads;
     bytes += len;
-    traceLatency(clock, TraceLatencyKind::Disk, cost);
+    transferNs.record(cost);
     traceEmit(clock, TraceEventType::DiskRead, 0, offset, len);
     return PagerResult::Ok;
 }
@@ -78,7 +88,7 @@ SimDisk::write(std::uint64_t offset, const void *buf, std::uint64_t len)
     clock.charge(CostKind::Disk, cost);
     ++writes;
     bytes += len;
-    traceLatency(clock, TraceLatencyKind::Disk, cost);
+    transferNs.record(cost);
     traceEmit(clock, TraceEventType::DiskWrite, 0, offset, len);
     return PagerResult::Ok;
 }
@@ -96,7 +106,7 @@ SimDisk::writeAsync(std::uint64_t offset, const void *buf,
     clock.charge(CostKind::Disk, cost);
     ++writes;
     bytes += len;
-    traceLatency(clock, TraceLatencyKind::Disk, cost);
+    transferNs.record(cost);
     traceEmit(clock, TraceEventType::DiskWrite, 1, offset, len);
     return PagerResult::Ok;
 }

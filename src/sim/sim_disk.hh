@@ -11,11 +11,13 @@
 #define MACH_SIM_SIM_DISK_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "base/status.hh"
 #include "base/types.hh"
 #include "sim/cost_model.hh"
+#include "sim/metrics.hh"
 #include "sim/sim_clock.hh"
 
 namespace mach
@@ -70,6 +72,15 @@ class SimDisk
     std::uint64_t bytesTransferred() const { return bytes; }
     /** Operations failed by the fault injector. */
     std::uint64_t ioErrors() const { return errors; }
+    /** Simulated device time of every transfer, failed ones too. */
+    const LatencyHistogram &latency() const { return transferNs; }
+
+    /**
+     * Name this disk's counters and latency histogram in @p reg as
+     * @p prefix.{reads,writes,bytes,errors,transfer_ns}.
+     */
+    void bindMetrics(MetricsRegistry &reg,
+                     const std::string &prefix) const;
 
   private:
     void checkRange(std::uint64_t offset, std::uint64_t len) const;
@@ -86,6 +97,7 @@ class SimDisk
     std::uint64_t writes = 0;
     std::uint64_t bytes = 0;
     std::uint64_t errors = 0;
+    LatencyHistogram transferNs;
 };
 
 } // namespace mach

@@ -7,25 +7,20 @@
  * IPI, pmap enter/remove/protect, and disk I/O — each stamped with
  * the simulated time and the CPU the kernel was executing on.  The
  * buffer is lossy but counted: when full, the oldest event is
- * overwritten and the drop is visible through dropped().
+ * overwritten and the drop is visible through totalDropped().
  *
- * Alongside the raw event stream the sink maintains per-operation
- * latency histograms (log2 buckets of simulated nanoseconds), which
- * VmSys::statistics() folds into VmStatistics.
- *
- * Cost discipline: a sink is attached to a SimClock; every emit site
- * first tests the sink pointer, so disabled tracing costs one
- * predictable branch.  Building with -DMACHVM_TRACE=OFF defines
- * MACHVM_TRACE_DISABLED and compiles the emit sites out entirely.
- * Tracing never charges simulated time, so it is invisible to the
- * cost model either way.
+ * A sink is attached to a SimClock; every emit site tests the sink
+ * pointer, so a run with no sink costs one predictable branch per
+ * event.  The sink holds events only: counters and latency
+ * histograms are recorded by the layers themselves whether or not a
+ * sink is attached (src/sim/metrics.hh).  Tracing never charges
+ * simulated time and never changes which code runs, so attaching a
+ * sink cannot perturb the results being traced.
  */
 
 #ifndef MACH_SIM_TRACE_HH
 #define MACH_SIM_TRACE_HH
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -111,90 +106,10 @@ struct TraceRecord
     std::uint8_t detail = 0;  //!< per-type discriminator
 };
 
-/** Which latency histogram an operation's elapsed time lands in. */
-enum class TraceLatencyKind : unsigned
-{
-    Fault = 0, //!< vm_fault entry to resolution
-    Pageout,   //!< pageOut() of one page
-    PmapOp,    //!< one pmap enter/remove/protect call
-    Shootdown, //!< one immediate shootdown dispatch round
-    Disk,      //!< one disk transfer (simulated device time)
-    NumKinds,
-};
-
-/** Name of a latency kind, for reports. */
-const char *traceLatencyKindName(TraceLatencyKind kind);
-
 /**
- * A log2-bucketed histogram of simulated nanoseconds.  Cheap enough
- * to update per event; rich enough for benchmarks to report counts,
- * totals and approximate quantiles.
- */
-class LatencyHistogram
-{
-  public:
-    /** Bucket i holds samples with bit_width(ns) == i (0 = zero). */
-    static constexpr unsigned kBuckets = 48;
-
-    void
-    record(SimTime ns)
-    {
-        unsigned b = bucketOf(ns);
-        ++buckets_[b];
-        ++count_;
-        sum_ += ns;
-        if (count_ == 1 || ns < min_)
-            min_ = ns;
-        if (ns > max_)
-            max_ = ns;
-    }
-
-    std::uint64_t count() const { return count_; }
-    SimTime total() const { return sum_; }
-    SimTime min() const { return count_ ? min_ : 0; }
-    SimTime max() const { return max_; }
-    SimTime mean() const { return count_ ? sum_ / count_ : 0; }
-    std::uint64_t bucketCount(unsigned i) const { return buckets_[i]; }
-
-    /** Inclusive upper bound of bucket @p i (its samples are ≤ it). */
-    static SimTime
-    bucketUpperBound(unsigned i)
-    {
-        if (i == 0)
-            return 0;
-        if (i >= 64)
-            return ~SimTime(0);
-        return (SimTime(1) << i) - 1;
-    }
-
-    /**
-     * Approximate quantile: the upper bound of the first bucket at
-     * which the cumulative count reaches @p p * count (0 < p <= 1).
-     */
-    SimTime quantile(double p) const;
-
-    void merge(const LatencyHistogram &other);
-    void reset() { *this = LatencyHistogram{}; }
-
-  private:
-    static unsigned
-    bucketOf(SimTime ns)
-    {
-        unsigned w = std::bit_width(std::uint64_t(ns));
-        return w < kBuckets ? w : kBuckets - 1;
-    }
-
-    std::array<std::uint64_t, kBuckets> buckets_{};
-    std::uint64_t count_ = 0;
-    SimTime sum_ = 0;
-    SimTime min_ = 0;
-    SimTime max_ = 0;
-};
-
-/**
- * The event sink: a bounded ring of TraceRecords plus the latency
- * histograms.  Attach to a machine with
- * machine.clock().setTraceSink(&sink); detach with nullptr.
+ * The event sink: a bounded ring of TraceRecords.  Attach to a
+ * machine with machine.clock().setTraceSink(&sink); detach with
+ * nullptr.
  */
 class TraceSink
 {
@@ -220,13 +135,6 @@ class TraceSink
         r.task = task;
         next = next + 1 == ring.size() ? 0 : next + 1;
         ++total_;
-    }
-
-    /** Record an operation latency sample. */
-    void
-    recordLatency(TraceLatencyKind kind, SimTime ns)
-    {
-        hists[static_cast<unsigned>(kind)].record(ns);
     }
 
     /** Events currently held (≤ capacity). */
@@ -255,82 +163,30 @@ class TraceSink
         return ring[idx];
     }
 
-    const LatencyHistogram &
-    histogram(TraceLatencyKind kind) const
-    {
-        return hists[static_cast<unsigned>(kind)];
-    }
-
-    /** Forget all events and histogram samples. */
+    /** Forget all events. */
     void reset();
 
   private:
     std::vector<TraceRecord> ring;
     std::size_t next = 0;
     std::uint64_t total_ = 0;
-    std::array<LatencyHistogram,
-               static_cast<unsigned>(TraceLatencyKind::NumKinds)>
-        hists{};
 };
-
-/** @name Emit helpers (the per-call-site cost when tracing is off) @{ */
-
-/** True when the build carries the tracing layer at all. */
-#if defined(MACHVM_TRACE_DISABLED)
-inline constexpr bool kTraceCompiled = false;
-#else
-inline constexpr bool kTraceCompiled = true;
-#endif
-
-/** Is a sink attached (and compiled in)?  One branch when not. */
-inline bool
-traceActive(const SimClock &clock)
-{
-    if constexpr (!kTraceCompiled)
-        return false;
-    else
-        return clock.traceSink() != nullptr;
-}
 
 /**
  * Emit an event stamped with the clock's time, current CPU and
- * current task.  @p arg2 conventionally carries the VmObject id for
- * events that have one (see TraceEventType).
+ * current task, if a sink is attached.  @p arg2 conventionally
+ * carries the VmObject id for events that have one (see
+ * TraceEventType).
  */
 inline void
 traceEmit(SimClock &clock, TraceEventType type, std::uint8_t detail,
           std::uint64_t arg0, std::uint64_t arg1,
           std::uint64_t arg2 = 0)
 {
-    if constexpr (kTraceCompiled) {
-        if (TraceSink *t = clock.traceSink())
-            t->emit(type, clock.traceCpu(), clock.now(), detail, arg0,
-                    arg1, arg2, clock.traceTask());
-    } else {
-        (void)clock;
-        (void)type;
-        (void)detail;
-        (void)arg0;
-        (void)arg1;
-        (void)arg2;
-    }
+    if (TraceSink *t = clock.traceSink())
+        t->emit(type, clock.traceCpu(), clock.now(), detail, arg0, arg1,
+                arg2, clock.traceTask());
 }
-
-/** Record a latency sample on the attached sink, if any. */
-inline void
-traceLatency(SimClock &clock, TraceLatencyKind kind, SimTime ns)
-{
-    if constexpr (kTraceCompiled) {
-        if (TraceSink *t = clock.traceSink())
-            t->recordLatency(kind, ns);
-    } else {
-        (void)clock;
-        (void)kind;
-        (void)ns;
-    }
-}
-
-/** @} */
 
 } // namespace mach
 

@@ -16,7 +16,6 @@
 #include "base/logging.hh"
 #include "pager/pager.hh"
 #include "sim/fault_inject.hh"
-#include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "vm/vm_map.hh"
 #include "vm/vm_object.hh"
@@ -35,35 +34,22 @@ VmSys::fault(VmMap &map, VmOffset va, FaultType type, VmPage **out_page)
 
     VmOffset page_va = pageTrunc(va);
 
-    // One hoisted test covers every emission below: with no sink and
-    // no registry attached (the common benchmark configuration), the
-    // whole introspection block is a single predicted-not-taken
-    // branch instead of five scattered pointer tests.
-    const bool introspecting =
-        kTraceCompiled && (machine.clock().traceSink() != nullptr ||
-                           machine.clock().metricsRegistry() != nullptr);
-
-    if (introspecting) {
-        traceEmit(machine.clock(), TraceEventType::FaultBegin,
-                  static_cast<std::uint8_t>(type), page_va, 0);
-    }
+    traceEmit(machine.clock(), TraceEventType::FaultBegin,
+              static_cast<std::uint8_t>(type), page_va, 0);
     SimStopwatch faultWatch(machine.clock());
     TraceFaultKind resolution = TraceFaultKind::Resident;
     VmObject *res_object = nullptr;  //!< object that satisfied it
     auto faultDone = [&]() {
-        if (!introspecting)
-            return;
-        traceLatency(machine.clock(), TraceLatencyKind::Fault,
-                     faultWatch.elapsed());
+        SimTime elapsed = faultWatch.elapsed();
+        stats.faultLatency.record(elapsed);
         traceEmit(machine.clock(), TraceEventType::FaultEnd,
                   static_cast<std::uint8_t>(resolution), page_va,
-                  faultWatch.elapsed(),
-                  res_object ? res_object->id : 0);
+                  elapsed, res_object ? res_object->id : 0);
         // Attribute the fault to the faulting task (its map) and to
         // the object it was resolved in.
-        acctFault(machine.clock(), &map.acct, resolution);
+        map.acct.countFault(resolution);
         if (res_object)
-            acctFault(machine.clock(), &res_object->acct, resolution);
+            res_object->acct.countFault(resolution);
     };
 
     // NS32082 chip-bug workaround (paper section 5.1): the hardware
@@ -405,14 +391,12 @@ VmSys::objectPage(VmObject *object, VmOffset offset, bool for_write,
                 // and report the error to the caller.
                 freePage(page);
                 ++stats.pageinFailures;
-                traceLatency(machine.clock(), TraceLatencyKind::Fault,
-                             watch.elapsed());
+                stats.faultLatency.record(watch.elapsed());
                 traceEmit(machine.clock(), TraceEventType::FaultEnd,
                           static_cast<std::uint8_t>(
                               TraceFaultKind::Error),
                           offset, watch.elapsed(), object->id);
-                acctFault(machine.clock(), &object->acct,
-                          TraceFaultKind::Error);
+                object->acct.countFault(TraceFaultKind::Error);
                 if (kr_out)
                     *kr_out = KernReturn::MemoryError;
                 return nullptr;
@@ -422,16 +406,13 @@ VmSys::objectPage(VmObject *object, VmOffset offset, bool for_write,
             pmaps.zeroPage(page->physAddr);
             ++stats.zeroFillCount;
         }
-        traceLatency(machine.clock(), TraceLatencyKind::Fault,
-                     watch.elapsed());
+        TraceFaultKind kind = provided ? TraceFaultKind::Pagein
+                                       : TraceFaultKind::ZeroFill;
+        stats.faultLatency.record(watch.elapsed());
         traceEmit(machine.clock(), TraceEventType::FaultEnd,
-                  static_cast<std::uint8_t>(
-                      provided ? TraceFaultKind::Pagein
-                               : TraceFaultKind::ZeroFill),
-                  offset, watch.elapsed(), object->id);
-        acctFault(machine.clock(), &object->acct,
-                  provided ? TraceFaultKind::Pagein
-                           : TraceFaultKind::ZeroFill);
+                  static_cast<std::uint8_t>(kind), offset,
+                  watch.elapsed(), object->id);
+        object->acct.countFault(kind);
     }
     if (for_write)
         page->dirty = true;

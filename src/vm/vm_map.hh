@@ -214,8 +214,7 @@ class VmMap
     bool useHint = true;
 
     /** @name Introspection (src/sim/metrics.hh) @{ */
-    /** Per-task attribution: faults resolved for this map, by kind.
-     *  Maintained only while a metrics registry is attached. */
+    /** Per-task attribution: faults resolved for this map, by kind. */
     VmAccounting acct;
 
     /** Owning task id (0 = kernel / sharing map); stamped by

@@ -31,7 +31,7 @@
 #include "base/types.hh"
 #include "base/zone.hh"
 #include "hw/machine.hh"
-#include "sim/trace.hh"
+#include "sim/metrics.hh"
 
 namespace mach
 {
@@ -105,29 +105,17 @@ struct VmStatistics
     std::uint64_t busyPageWaits = 0;   //!< faults that waited on busy
     /** @} */
 
-    /** @name TLB shootdown counters (pmap layer, section 5.2) @{ */
-    std::uint64_t shootdownIpis = 0;   //!< IPIs sent for consistency
-    std::uint64_t deferredFlushes = 0; //!< flushes queued to tick
-    std::uint64_t lazySkips = 0;       //!< flushes skipped (case 3)
-    std::uint64_t shootdownsCoalesced = 0; //!< absorbed by a batch
-    std::uint64_t batchedIpis = 0;     //!< IPIs sent by batch closes
-    std::uint64_t batchRangesMerged = 0; //!< ranges merged at close
-    std::uint64_t batchFlushes = 0;    //!< coalesced flush rounds
+    /** @name Pageout daemon (vm_pageout.cc) @{ */
+    std::uint64_t pageoutWakeups = 0;  //!< passes entered below target
+    std::uint64_t pageoutPasses = 0;   //!< pageoutScan() invocations
+    std::uint64_t pagesScanned = 0;    //!< inactive pages examined
+    std::uint64_t pagesReclaimed = 0;  //!< freed (clean or laundered)
+    std::uint64_t pagesLaundered = 0;  //!< dirty pages pushed to a pager
     /** @} */
 
-    /**
-     * @name Per-operation latency histograms (simulated ns)
-     *
-     * Derived from the trace layer: populated only while a TraceSink
-     * is attached to the machine's clock (src/sim/trace.hh); empty
-     * otherwise.
-     * @{
-     */
-    LatencyHistogram faultLatency;     //!< vm_fault entry→resolution
-    LatencyHistogram pageoutLatency;   //!< pageOut() per page
-    LatencyHistogram pmapOpLatency;    //!< pmap enter/remove/protect
-    LatencyHistogram shootdownLatency; //!< immediate dispatch rounds
-    LatencyHistogram diskLatency;      //!< per disk transfer
+    /** @name Per-operation latency histograms (simulated ns) @{ */
+    LatencyHistogram faultLatency;   //!< vm_fault entry→resolution
+    LatencyHistogram pageoutLatency; //!< pageOut() per page
     /** @} */
 };
 

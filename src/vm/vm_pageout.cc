@@ -15,7 +15,6 @@
 
 #include "base/logging.hh"
 #include "pager/pager.hh"
-#include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "vm/vm_object.hh"
 #include "vm/vm_sys.hh"
@@ -31,9 +30,9 @@ VmSys::pageoutScan()
     // terminates.
     std::size_t budget = resident.totalPages() * 4 + 64;
 
-    metricAdd(machine.clock(), daemonMetrics.passes);
+    ++stats.pageoutPasses;
     if (resident.freeCount() < freeTarget)
-        metricAdd(machine.clock(), daemonMetrics.wakeups);
+        ++stats.pageoutWakeups;
     traceEmit(machine.clock(), TraceEventType::PageoutBegin, 0,
               resident.freeCount(), freeTarget);
     std::uint64_t scanned = 0, reclaimed = 0, laundered = 0;
@@ -130,9 +129,9 @@ VmSys::pageoutScan()
 
     traceEmit(machine.clock(), TraceEventType::PageoutEnd, 0, scanned,
               reclaimed, laundered);
-    metricAdd(machine.clock(), daemonMetrics.scanned, scanned);
-    metricAdd(machine.clock(), daemonMetrics.reclaimed, reclaimed);
-    metricAdd(machine.clock(), daemonMetrics.laundered, laundered);
+    stats.pagesScanned += scanned;
+    stats.pagesReclaimed += reclaimed;
+    stats.pagesLaundered += laundered;
 }
 
 void
@@ -163,18 +162,16 @@ VmSys::pageOut(VmPage *page)
         // will try again.
         page->dirty = true;
         resident.activate(page);
-        traceLatency(machine.clock(), TraceLatencyKind::Pageout,
-                     watch.elapsed());
+        stats.pageoutLatency.record(watch.elapsed());
         return;
     }
 
     ++stats.pageouts;
-    acctPageout(machine.clock(), &object->acct);
+    ++object->acct.pageouts;
     page->dirty = false;
     freePage(page);
 
-    traceLatency(machine.clock(), TraceLatencyKind::Pageout,
-                 watch.elapsed());
+    stats.pageoutLatency.record(watch.elapsed());
     traceEmit(machine.clock(), TraceEventType::Pageout, 0, pa,
               watch.elapsed(), object->id);
 }

@@ -10,17 +10,13 @@ namespace mach
 
 VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     : machine(machine), pmaps(pmaps),
-      resident(machine, mach_page_size),
-      metrics(machine.numCpus())
+      resident(machine, mach_page_size)
 {
     MACH_ASSERT(pmaps.machPageSize() == mach_page_size);
     // Keep ~2% of memory free, start reclaiming at 1%.
     freeMin = std::max<std::size_t>(4, resident.totalPages() / 100);
     freeTarget = std::max<std::size_t>(8, resident.totalPages() / 50);
 
-    // Expose the vm_statistics counters through the registry.  The
-    // storage stays in `stats` (and in the pmap layer for the
-    // shootdown counters) so the increment sites cost nothing extra.
     metrics.bind("vm.faults", &stats.faults);
     metrics.bind("vm.zero_fills", &stats.zeroFillCount);
     metrics.bind("vm.cow_faults", &stats.cowFaults);
@@ -34,12 +30,27 @@ VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     metrics.bind("vm.object_collapses", &stats.objectCollapses);
     metrics.bind("vm.object_bypasses", &stats.objectBypasses);
     metrics.bind("vm.busy_page_waits", &stats.busyPageWaits);
+    metrics.bind("vm.fault_ns", &stats.faultLatency);
+    metrics.bind("vm.pageout_ns", &stats.pageoutLatency);
     metrics.bind("io.errors", &stats.ioErrors);
     metrics.bind("io.pagein_failures", &stats.pageinFailures);
     metrics.bind("io.pagein_retries", &stats.pageinRetries);
     metrics.bind("io.pageout_retries", &stats.pageoutRetries);
     metrics.bind("io.transient_recoveries", &stats.transientRecoveries);
+
+    daemonMetrics.wakeups =
+        metrics.bind("pageout.wakeups", &stats.pageoutWakeups);
+    daemonMetrics.passes =
+        metrics.bind("pageout.passes", &stats.pageoutPasses);
+    daemonMetrics.scanned =
+        metrics.bind("pageout.pages_scanned", &stats.pagesScanned);
+    daemonMetrics.reclaimed =
+        metrics.bind("pageout.pages_reclaimed", &stats.pagesReclaimed);
+    daemonMetrics.laundered =
+        metrics.bind("pageout.pages_laundered", &stats.pagesLaundered);
+
     metrics.bind("tlb.shootdown_ipis", &pmaps.shootdownIpis);
+    metrics.bind("tlb.shootdown_rounds", &pmaps.shootdownRoundSeq);
     metrics.bind("tlb.deferred_flushes", &pmaps.deferredFlushes);
     metrics.bind("tlb.lazy_skips", &pmaps.lazySkips);
     metrics.bind("tlb.shootdowns_coalesced",
@@ -47,6 +58,13 @@ VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     metrics.bind("tlb.batched_ipis", &pmaps.batchedIpis);
     metrics.bind("tlb.batch_ranges_merged", &pmaps.batchRangesMerged);
     metrics.bind("tlb.batch_flushes", &pmaps.batchFlushes);
+    metrics.bind("tlb.shootdown_wait_ns", &pmaps.shootdownLatency);
+    metrics.bind("pmap.alias_evictions", &pmaps.aliasEvictions);
+    metrics.bind("pmap.context_steals", &pmaps.contextSteals);
+    metrics.bind("pmap.pmeg_steals", &pmaps.pmegSteals);
+    metrics.bind("pmap.table_pages_built", &pmaps.tablePagesBuilt);
+    metrics.bind("pmap.table_pages_freed", &pmaps.tablePagesFreed);
+    metrics.bind("pmap.op_ns", &pmaps.pmapOpLatency);
 
     metrics.bind("zone.vm_page.chunks", &resident.pageZone.chunks);
     metrics.bind("zone.vm_page.high_water",
@@ -55,22 +73,10 @@ VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     metrics.bind("zone.map_entry.high_water", &mapEntryZone.highWater);
     metrics.bind("zone.radix_node.chunks", &radixZone.chunks);
     metrics.bind("zone.radix_node.high_water", &radixZone.highWater);
-
-    daemonMetrics.wakeups = metrics.counter("pageout.wakeups");
-    daemonMetrics.passes = metrics.counter("pageout.passes");
-    daemonMetrics.scanned = metrics.counter("pageout.pages_scanned");
-    daemonMetrics.reclaimed =
-        metrics.counter("pageout.pages_reclaimed");
-    daemonMetrics.laundered =
-        metrics.counter("pageout.pages_laundered");
-
-    setIntrospectionEnabled(true);
 }
 
 VmSys::~VmSys()
 {
-    if (introspectionEnabled())
-        machine.clock().setMetricsRegistry(nullptr);
     // Reclaim objects still sitting in the cache.  Their pagers may
     // already be gone (the kernel writes dirty data back with
     // flushCache() in its own destructor, while pagers and disks
@@ -170,21 +176,6 @@ VmSys::statistics() const
 {
     VmStatistics st = stats;
     resident.fillStatistics(st);
-    st.shootdownIpis = pmaps.shootdownIpis;
-    st.deferredFlushes = pmaps.deferredFlushes;
-    st.lazySkips = pmaps.lazySkips;
-    st.shootdownsCoalesced = pmaps.shootdownsCoalesced;
-    st.batchedIpis = pmaps.batchedIpis;
-    st.batchRangesMerged = pmaps.batchRangesMerged;
-    st.batchFlushes = pmaps.batchFlushes;
-    if (const TraceSink *sink = machine.clock().traceSink()) {
-        st.faultLatency = sink->histogram(TraceLatencyKind::Fault);
-        st.pageoutLatency = sink->histogram(TraceLatencyKind::Pageout);
-        st.pmapOpLatency = sink->histogram(TraceLatencyKind::PmapOp);
-        st.shootdownLatency =
-            sink->histogram(TraceLatencyKind::Shootdown);
-        st.diskLatency = sink->histogram(TraceLatencyKind::Disk);
-    }
     return st;
 }
 

@@ -67,46 +67,31 @@ class VmSys
     /** @} */
 
     /**
-     * The ad-hoc counters of vm_statistics (Table 2-1).  Every field
-     * is registered with the metrics registry below at construction
-     * (as a *bound* metric, so the hot `++stats.x` form keeps its
-     * zero cost and keeps working with tracing compiled out), which
-     * makes statistics() a view over the registry's snapshot.
+     * The ad-hoc counters of vm_statistics (Table 2-1), the pageout
+     * daemon's counters and the fault / pageout latency histograms.
+     * The hot paths update the fields directly; each is bound by
+     * name into the registry below at construction.
      */
     VmStatistics stats;
 
     /**
      * @name Introspection (src/sim/metrics.hh)
      *
-     * The registry holds every named VM metric: the bound
-     * VmStatistics counters above, the pageout-daemon internals
-     * (wakeups, pages scanned/reclaimed/laundered per pass) and the
-     * pmap layer's shootdown contention metrics.  It is attached to
-     * the machine's clock at construction; detaching (or building
-     * with MACHVM_TRACE=OFF) turns all owned-metric and per-task /
-     * per-object accounting emission into a single dead branch.
+     * The registry names every VM metric: the VmStatistics fields
+     * above, every PmapSystem counter and histogram, and the zone
+     * stats.  The Kernel adds its two disks.  Reading it never
+     * changes what the simulator does.
      * @{
      */
     MetricsRegistry metrics;
 
-    void
-    setIntrospectionEnabled(bool on)
-    {
-        machine.clock().setMetricsRegistry(on ? &metrics : nullptr);
-    }
-    bool
-    introspectionEnabled() const
-    {
-        return machine.clock().metricsRegistry() == &metrics;
-    }
-
-    /** Merged name -> value view of every registered metric. */
+    /** Name -> value view of every registered metric. */
     MetricsRegistry::Snapshot metricsSnapshot() const
     {
         return metrics.snapshot();
     }
 
-    /** Pageout-daemon metric handles (vm_pageout.cc emit sites). */
+    /** Registry ids of the pageout-daemon counters in `stats`. */
     struct DaemonMetrics
     {
         MetricId wakeups;   //!< passes entered with free < target

@@ -34,13 +34,9 @@ class ChurnStormTest : public ::testing::Test
     void
     SetUp() override
     {
-        if (!kTraceCompiled)
-            GTEST_SKIP()
-                << "introspection compiled out (MACHVM_TRACE=OFF)";
         spec = test::tinySpec(ArchType::Vax, 4);
         kernel = std::make_unique<Kernel>(spec);
         page = kernel->pageSize();
-        ASSERT_TRUE(kernel->vm->introspectionEnabled());
     }
 
     /**

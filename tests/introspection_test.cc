@@ -3,11 +3,17 @@
  * End-to-end introspection: per-task accounting reproduces the
  * global VmStatistics counters across a fork/COW workload, the
  * task_info-style API reports resident and wired pages, per-object
- * attribution follows the satisfying object, and the registry
- * snapshot agrees with the bound counters.
+ * attribution follows the satisfying object, the registry snapshot
+ * names every counter and histogram exactly once, and attaching a
+ * trace sink changes no simulated result on any architecture.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <vector>
 
 #include "kern/kernel.hh"
 #include "kern/task.hh"
@@ -29,13 +35,9 @@ class IntrospectionTest : public ::testing::Test
     void
     SetUp() override
     {
-        if (!kTraceCompiled)
-            GTEST_SKIP()
-                << "introspection compiled out (MACHVM_TRACE=OFF)";
         spec = test::tinySpec(ArchType::Vax, 4);
         kernel = std::make_unique<Kernel>(spec);
         page = kernel->pageSize();
-        ASSERT_TRUE(kernel->vm->introspectionEnabled());
     }
 
     MachineSpec spec;
@@ -155,21 +157,104 @@ TEST_F(IntrospectionTest, RegistrySnapshotAgreesWithBoundCounters)
               kernel->vm->stats.zeroFillCount);
     EXPECT_GT(snap.counterValue("vm.faults"), 0u);
 
-    // Detached: accounting stops, bound counters keep running.
-    std::uint64_t acct_before =
-        task->vmInfo().acct.zeroFills();
-    kernel->vm->setIntrospectionEnabled(false);
-    ASSERT_EQ(kernel->taskTouch(*task, addr, 4 * page,
-                                AccessType::Read),
-              KernReturn::Success);
+    // Accounting is always on: one more zero fill shows up in the
+    // task's record and in the bound counter alike.
+    std::uint64_t acct_before = task->vmInfo().acct.zeroFills();
+    std::uint64_t zf_before = snap.counterValue("vm.zero_fills");
     VmOffset addr2 = 0;
     ASSERT_EQ(task->map().allocate(&addr2, page, true),
               KernReturn::Success);
     ASSERT_EQ(kernel->taskTouch(*task, addr2, page,
                                 AccessType::Write),
               KernReturn::Success);
-    EXPECT_EQ(task->vmInfo().acct.zeroFills(), acct_before);
-    kernel->vm->setIntrospectionEnabled(true);
+    EXPECT_EQ(task->vmInfo().acct.zeroFills(), acct_before + 1);
+    EXPECT_EQ(kernel->vm->metricsSnapshot().counterValue(
+                  "vm.zero_fills"),
+              zf_before + 1);
+}
+
+TEST_F(IntrospectionTest, EveryPmapCounterAndHistogramNamedOnce)
+{
+    // Bump each PmapSystem counter by a distinct amount: exactly one
+    // registry counter must move, by exactly that amount, under the
+    // expected name.  That proves each field is bound, and bound
+    // once, to the storage the pmap layer updates.
+    struct Field
+    {
+        const char *name;
+        std::uint64_t PmapSystem::*field;
+    };
+    const Field fields[] = {
+        {"tlb.shootdown_ipis", &PmapSystem::shootdownIpis},
+        {"tlb.deferred_flushes", &PmapSystem::deferredFlushes},
+        {"tlb.lazy_skips", &PmapSystem::lazySkips},
+        {"tlb.shootdowns_coalesced", &PmapSystem::shootdownsCoalesced},
+        {"tlb.batched_ipis", &PmapSystem::batchedIpis},
+        {"tlb.batch_ranges_merged", &PmapSystem::batchRangesMerged},
+        {"tlb.batch_flushes", &PmapSystem::batchFlushes},
+        {"pmap.alias_evictions", &PmapSystem::aliasEvictions},
+        {"pmap.context_steals", &PmapSystem::contextSteals},
+        {"tlb.shootdown_rounds", &PmapSystem::shootdownRoundSeq},
+        {"pmap.pmeg_steals", &PmapSystem::pmegSteals},
+        {"pmap.table_pages_built", &PmapSystem::tablePagesBuilt},
+        {"pmap.table_pages_freed", &PmapSystem::tablePagesFreed},
+    };
+    PmapSystem &pm = *kernel->pmaps;
+    MetricsRegistry::Snapshot before = kernel->vm->metricsSnapshot();
+    for (std::size_t i = 0; i < std::size(fields); ++i)
+        pm.*fields[i].field += 1000 + i;
+    MetricsRegistry::Snapshot after = kernel->vm->metricsSnapshot();
+
+    ASSERT_EQ(after.counters.size(), before.counters.size());
+    for (std::size_t i = 0; i < std::size(fields); ++i) {
+        unsigned moved = 0;
+        for (std::size_t c = 0; c < after.counters.size(); ++c) {
+            ASSERT_EQ(after.counters[c].first, before.counters[c].first);
+            std::uint64_t delta =
+                after.counters[c].second - before.counters[c].second;
+            if (delta == 1000 + i) {
+                ++moved;
+                EXPECT_EQ(after.counters[c].first, fields[i].name);
+            }
+        }
+        EXPECT_EQ(moved, 1u) << fields[i].name;
+    }
+
+    // Every histogram appears once, under one name, and reads the
+    // storage of the layer that records it.
+    Task *task = kernel->taskCreate();
+    VmOffset addr = 0;
+    ASSERT_EQ(task->map().allocate(&addr, 4 * page, true),
+              KernReturn::Success);
+    ASSERT_EQ(kernel->taskTouch(*task, addr, 4 * page,
+                                AccessType::Write),
+              KernReturn::Success);
+    MetricsRegistry::Snapshot snap = kernel->vm->metricsSnapshot();
+    const std::pair<const char *, const LatencyHistogram *> hists[] = {
+        {"vm.fault_ns", &kernel->vm->stats.faultLatency},
+        {"vm.pageout_ns", &kernel->vm->stats.pageoutLatency},
+        {"pmap.op_ns", &pm.pmapOpLatency},
+        {"tlb.shootdown_wait_ns", &pm.shootdownLatency},
+        {"disk.fs.transfer_ns", &kernel->disk.latency()},
+        {"disk.swap.transfer_ns", &kernel->swapDisk.latency()},
+    };
+    ASSERT_EQ(snap.histograms.size(), std::size(hists));
+    for (const auto &[name, storage] : hists) {
+        unsigned seen = 0;
+        for (const auto &[n, h] : snap.histograms) {
+            if (n == name) {
+                ++seen;
+                EXPECT_EQ(h, *storage) << name;
+            }
+        }
+        EXPECT_EQ(seen, 1u) << name;
+    }
+    EXPECT_GT(snap.histogram("vm.fault_ns").count(), 0u);
+    EXPECT_GT(snap.histogram("pmap.op_ns").count(), 0u);
+
+    // Counter names are unique too (the snapshot is sorted).
+    for (std::size_t c = 1; c < snap.counters.size(); ++c)
+        EXPECT_LT(snap.counters[c - 1].first, snap.counters[c].first);
 }
 
 TEST_F(IntrospectionTest, DaemonMetricsCountPageoutPasses)
@@ -207,6 +292,137 @@ TEST_F(IntrospectionTest, DaemonMetricsCountPageoutPasses)
     EXPECT_GT(lr.object->acct.pageouts, 0u);
     (void)pg;
 }
+
+/** What one run of the non-perturbation workload leaves behind. */
+struct RunResult
+{
+    MetricsRegistry::Snapshot snap;
+    SimTime now = 0;
+    std::array<SimTime, SimClock::numKinds> kinds{};
+    std::uint64_t events = 0;
+};
+
+/**
+ * Zero fill, fork plus COW writes on both sides, pageout pressure
+ * with pagein, a protect under Immediate shootdown on four CPUs, and
+ * deallocation, on a four-CPU machine with @p sink attached from
+ * boot (or nothing attached when null).
+ */
+RunResult
+runWorkload(ArchType arch, TraceSink *sink)
+{
+    Kernel kernel(test::tinySpec(arch, 1, 4));
+    kernel.machine.clock().setTraceSink(sink);
+    kernel.pmaps->policy.protect = ShootdownMode::Immediate;
+    VmSize page = kernel.pageSize();
+
+    Task *task = kernel.taskCreate();
+    for (CpuId cpu = 0; cpu < 4; ++cpu) {
+        kernel.threadCreate(*task);
+        kernel.switchTo(task, cpu);
+    }
+    kernel.machine.setCurrentCpu(0);
+
+    VmOffset small = 0;
+    VmSize small_size = 8 * page;
+    EXPECT_EQ(task->map().allocate(&small, small_size, true),
+              KernReturn::Success);
+    auto data = test::pattern(small_size, 5);
+    EXPECT_EQ(kernel.taskWrite(*task, small, data.data(), small_size),
+              KernReturn::Success);
+
+    Task *child = kernel.taskFork(*task);
+    EXPECT_EQ(kernel.taskWrite(*child, small, data.data(),
+                               small_size / 2),
+              KernReturn::Success);
+    EXPECT_EQ(kernel.taskWrite(*task, small, data.data(), small_size),
+              KernReturn::Success);
+
+    // Twice the physical memory, so the daemon launders and the
+    // read-back pages in.
+    VmOffset big = 0;
+    VmSize big_size = 2 * kernel.machine.spec.physMemBytes;
+    EXPECT_EQ(task->map().allocate(&big, big_size, true),
+              KernReturn::Success);
+    auto bulk = test::pattern(big_size, 9);
+    EXPECT_EQ(kernel.taskWrite(*task, big, bulk.data(), big_size),
+              KernReturn::Success);
+    std::vector<std::uint8_t> back(4 * page);
+    EXPECT_EQ(kernel.taskRead(*task, big, back.data(), back.size()),
+              KernReturn::Success);
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), bulk.begin()));
+
+    // Load the small region into every CPU's TLB, then write-protect
+    // it: one Immediate round with IPIs to the remote CPUs.
+    for (CpuId cpu = 0; cpu < 4; ++cpu) {
+        kernel.machine.setCurrentCpu(cpu);
+        EXPECT_EQ(kernel.machine.touch(cpu, small, small_size,
+                                       AccessType::Read),
+                  KernReturn::Success);
+    }
+    kernel.machine.setCurrentCpu(0);
+    EXPECT_EQ(vmProtect(*kernel.vm, task->map(), small, small_size,
+                        false, VmProt::Read),
+              KernReturn::Success);
+
+    EXPECT_EQ(vmDeallocate(*kernel.vm, task->map(), big, big_size),
+              KernReturn::Success);
+    kernel.taskTerminate(child);
+
+    RunResult r;
+    r.snap = kernel.vm->metricsSnapshot();
+    r.now = kernel.machine.clock().now();
+    for (std::size_t k = 0; k < SimClock::numKinds; ++k)
+        r.kinds[k] = kernel.machine.clock().kindTotal(
+            static_cast<CostKind>(k));
+    r.events = sink ? sink->totalEmitted() : 0;
+    kernel.machine.clock().setTraceSink(nullptr);
+    return r;
+}
+
+class NonPerturbationTest : public ::testing::TestWithParam<ArchType>
+{
+};
+
+TEST_P(NonPerturbationTest, TraceSinkChangesNoSimulatedResult)
+{
+    TraceSink sink(1 << 12);
+    RunResult plain = runWorkload(GetParam(), nullptr);
+    RunResult traced = runWorkload(GetParam(), &sink);
+
+    // The workload reached every path it is meant to cover.
+    EXPECT_GT(plain.snap.counterValue("vm.zero_fills"), 0u);
+    EXPECT_GT(plain.snap.counterValue("vm.cow_faults"), 0u);
+    EXPECT_GT(plain.snap.counterValue("vm.pageouts"), 0u);
+    EXPECT_GT(plain.snap.counterValue("vm.pageins"), 0u);
+    EXPECT_GT(plain.snap.counterValue("tlb.shootdown_ipis"), 0u);
+    EXPECT_GT(traced.events, 0u);
+
+    EXPECT_EQ(plain.now, traced.now);
+    for (std::size_t k = 0; k < SimClock::numKinds; ++k) {
+        EXPECT_EQ(plain.kinds[k], traced.kinds[k])
+            << costKindName(static_cast<CostKind>(k));
+    }
+    ASSERT_EQ(plain.snap.counters.size(), traced.snap.counters.size());
+    for (std::size_t c = 0; c < plain.snap.counters.size(); ++c)
+        EXPECT_EQ(plain.snap.counters[c], traced.snap.counters[c]);
+    ASSERT_EQ(plain.snap.histograms.size(),
+              traced.snap.histograms.size());
+    for (std::size_t h = 0; h < plain.snap.histograms.size(); ++h) {
+        EXPECT_EQ(plain.snap.histograms[h].first,
+                  traced.snap.histograms[h].first);
+        EXPECT_TRUE(plain.snap.histograms[h].second ==
+                    traced.snap.histograms[h].second)
+            << plain.snap.histograms[h].first;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchitectures, NonPerturbationTest,
+    ::testing::ValuesIn(test::allArchs()),
+    [](const ::testing::TestParamInfo<ArchType> &info) {
+        return test::archLabel(info.param);
+    });
 
 } // namespace
 } // namespace mach

@@ -1,14 +1,14 @@
 /**
  * @file
- * The metrics registry (src/sim/metrics.hh): registration semantics,
- * per-CPU shard merging, bound metrics, snapshots, reset, histogram
- * bucket edges, and the clock-attached emit helpers.
+ * The metrics registry (src/sim/metrics.hh): binding semantics, bound
+ * counters and histograms read through value() and snapshot(),
+ * snapshot order, histogram math and bucket edges, and the
+ * accounting record.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/metrics.hh"
-#include "sim/sim_clock.hh"
 
 namespace mach
 {
@@ -17,10 +17,11 @@ namespace
 
 TEST(MetricsRegistryTest, RegistrationFindsOrCreates)
 {
-    MetricsRegistry reg(2);
-    MetricId a = reg.counter("vm.faults");
-    MetricId b = reg.counter("vm.faults");
-    MetricId c = reg.counter("vm.pageins");
+    std::uint64_t faults = 0, pageins = 0;
+    MetricsRegistry reg;
+    MetricId a = reg.bind("vm.faults", &faults);
+    MetricId b = reg.bind("vm.faults", &faults);
+    MetricId c = reg.bind("vm.pageins", &pageins);
     EXPECT_TRUE(a.valid());
     EXPECT_EQ(a.index, b.index);
     EXPECT_NE(a.index, c.index);
@@ -28,37 +29,31 @@ TEST(MetricsRegistryTest, RegistrationFindsOrCreates)
 
     EXPECT_EQ(reg.find("vm.faults").index, a.index);
     EXPECT_FALSE(reg.find("no.such").valid());
+    EXPECT_EQ(reg.value(MetricId{}), 0u);
 }
 
-TEST(MetricsRegistryTest, CounterShardsMergeAcrossCpus)
+TEST(MetricsRegistryTest, BoundMetricReadsExternalStorage)
 {
-    MetricsRegistry reg(4);
-    MetricId id = reg.counter("c");
-    for (CpuId cpu = 0; cpu < 4; ++cpu)
-        reg.add(id, cpu + 1, cpu); // 1+2+3+4
-    EXPECT_EQ(reg.value(id), 10u);
+    std::uint64_t external = 0;
+    MetricsRegistry reg;
+    MetricId id = reg.bind("vm.external", &external);
+    EXPECT_EQ(reg.value(id), 0u);
+    external = 42; // the ++stats.x hot path, unchanged
+    EXPECT_EQ(reg.value(id), 42u);
 }
 
-TEST(MetricsRegistryTest, GaugeGoesUpAndDown)
+TEST(MetricsRegistryTest, BoundHistogramKeepsBucketEdges)
 {
-    MetricsRegistry reg(2);
-    MetricId id = reg.gauge("g");
-    reg.addGauge(id, 7, 0);
-    reg.addGauge(id, 5, 1);
-    reg.addGauge(id, -4, 0);
-    EXPECT_EQ(reg.gaugeValue(id), 8);
-}
-
-TEST(MetricsRegistryTest, HistogramShardsMergeAndKeepEdges)
-{
-    MetricsRegistry reg(2);
-    MetricId id = reg.histogram("h");
+    LatencyHistogram hist;
+    MetricsRegistry reg;
+    reg.bind("h", &hist);
     // Exact bucket-edge values: bucket index is bit_width(v), so 7
     // and 8 land in different buckets (upper bounds 7 and 15).
-    reg.record(id, 7, 0);
-    reg.record(id, 8, 1);
-    reg.record(id, 8, 0);
-    LatencyHistogram h = reg.histogramValue(id);
+    hist.record(7);
+    hist.record(8);
+    hist.record(8);
+
+    LatencyHistogram h = reg.snapshot().histogram("h");
     EXPECT_EQ(h.count(), 3u);
     EXPECT_EQ(h.min(), 7u);
     EXPECT_EQ(h.max(), 8u);
@@ -68,27 +63,16 @@ TEST(MetricsRegistryTest, HistogramShardsMergeAndKeepEdges)
     EXPECT_EQ(LatencyHistogram::bucketUpperBound(4), 15u);
 }
 
-TEST(MetricsRegistryTest, BoundMetricReadsExternalStorage)
-{
-    std::uint64_t external = 0;
-    MetricsRegistry reg(1);
-    MetricId id = reg.bind("vm.external", &external);
-    EXPECT_EQ(reg.value(id), 0u);
-    external = 42; // the ++stats.x hot path, unchanged
-    EXPECT_EQ(reg.value(id), 42u);
-}
-
 TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete)
 {
-    std::uint64_t external = 9;
-    MetricsRegistry reg(2);
-    reg.bind("b.bound", &external);
-    MetricId c = reg.counter("a.counter");
-    MetricId g = reg.gauge("z.gauge");
-    MetricId h = reg.histogram("m.hist");
-    reg.add(c, 3, 1);
-    reg.addGauge(g, -2, 0);
-    reg.record(h, 100, 1);
+    std::uint64_t b = 9, a = 3;
+    LatencyHistogram z, m;
+    MetricsRegistry reg;
+    reg.bind("b.bound", &b);
+    reg.bind("z.hist", &z);
+    reg.bind("a.counter", &a);
+    reg.bind("m.hist", &m);
+    m.record(100);
 
     MetricsRegistry::Snapshot s = reg.snapshot();
     ASSERT_EQ(s.counters.size(), 2u);
@@ -96,82 +80,95 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete)
     EXPECT_EQ(s.counters[0].second, 3u);
     EXPECT_EQ(s.counters[1].first, "b.bound");
     EXPECT_EQ(s.counters[1].second, 9u);
-    ASSERT_EQ(s.gauges.size(), 1u);
-    EXPECT_EQ(s.gauges[0].second, -2);
-    ASSERT_EQ(s.histograms.size(), 1u);
+    ASSERT_EQ(s.histograms.size(), 2u);
+    EXPECT_EQ(s.histograms[0].first, "m.hist");
     EXPECT_EQ(s.histograms[0].second.count(), 1u);
+    EXPECT_EQ(s.histograms[1].first, "z.hist");
+    EXPECT_EQ(s.histograms[1].second.count(), 0u);
 
     EXPECT_EQ(s.counterValue("b.bound"), 9u);
     EXPECT_EQ(s.counterValue("missing"), 0u);
+    EXPECT_EQ(s.histogram("missing").count(), 0u);
+
+    // A snapshot is a copy: later updates do not reach it.
+    ++a;
+    m.record(5);
+    EXPECT_EQ(s.counterValue("a.counter"), 3u);
+    EXPECT_EQ(s.histogram("m.hist").count(), 1u);
+    EXPECT_EQ(reg.snapshot().counterValue("a.counter"), 4u);
+    EXPECT_EQ(reg.snapshot().histogram("m.hist").count(), 2u);
 }
 
-TEST(MetricsRegistryTest, ResetZeroesOwnedButNotBound)
+TEST(LatencyHistogramTest, CountsTotalsAndExtremes)
 {
-    std::uint64_t external = 5;
-    MetricsRegistry reg(2);
-    MetricId b = reg.bind("bound", &external);
-    MetricId c = reg.counter("owned");
-    MetricId h = reg.histogram("hist");
-    reg.add(c, 4, 0);
-    reg.record(h, 50, 1);
+    LatencyHistogram h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    EXPECT_EQ(h.mean(), 0u);
 
-    reg.reset();
-    EXPECT_EQ(reg.value(c), 0u);
-    EXPECT_EQ(reg.histogramValue(h).count(), 0u);
-    EXPECT_EQ(reg.value(b), 5u); // external storage untouched
+    h.record(100);
+    h.record(300);
+    h.record(200);
+    EXPECT_EQ(h.count(), 3u);
+    EXPECT_EQ(h.total(), 600u);
+    EXPECT_EQ(h.min(), 100u);
+    EXPECT_EQ(h.max(), 300u);
+    EXPECT_EQ(h.mean(), 200u);
 }
 
-TEST(MetricsHelperTest, DetachedClockCostsOneBranch)
+TEST(LatencyHistogramTest, BucketsAreLog2)
 {
-    SimClock clock;
-    MetricsRegistry reg(1);
-    MetricId id = reg.counter("c");
+    LatencyHistogram h;
+    h.record(0);    // bucket 0
+    h.record(1);    // bucket 1
+    h.record(5);    // bucket 3: bit_width(5) == 3
+    h.record(1024); // bucket 11
+    EXPECT_EQ(h.bucketCount(0), 1u);
+    EXPECT_EQ(h.bucketCount(1), 1u);
+    EXPECT_EQ(h.bucketCount(3), 1u);
+    EXPECT_EQ(h.bucketCount(11), 1u);
+    EXPECT_EQ(LatencyHistogram::bucketUpperBound(0), 0u);
+    EXPECT_EQ(LatencyHistogram::bucketUpperBound(3), 7u);
+    EXPECT_EQ(LatencyHistogram::bucketUpperBound(11), 2047u);
+}
 
-    // No registry attached: helpers are no-ops.
-    EXPECT_FALSE(metricsActive(clock));
-    metricAdd(clock, id);
-    EXPECT_EQ(reg.value(id), 0u);
+TEST(LatencyHistogramTest, QuantileMergeAndReset)
+{
+    LatencyHistogram h;
+    for (int i = 0; i < 90; ++i)
+        h.record(4);       // bucket 3, upper bound 7
+    for (int i = 0; i < 10; ++i)
+        h.record(1000);    // bucket 10, upper bound 1023
+    EXPECT_EQ(h.quantile(0.5), 7u);
+    // The p99 bucket's upper bound (1023) is clamped to the max seen.
+    EXPECT_EQ(h.quantile(0.99), 1000u);
 
+    LatencyHistogram other;
+    other.record(1u << 20);
+    h.merge(other);
+    EXPECT_EQ(h.count(), 101u);
+    EXPECT_EQ(h.max(), 1u << 20);
+    EXPECT_EQ(h.min(), 4u);
+
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.total(), 0u);
+    EXPECT_EQ(h.quantile(0.5), 0u);
+}
+
+TEST(VmAccountingTest, CountFaultTalliesByKind)
+{
     VmAccounting acct;
-    acctFault(clock, &acct, TraceFaultKind::ZeroFill);
-    acctPageout(clock, &acct);
-    EXPECT_EQ(acct.faults(), 0u);
-    EXPECT_EQ(acct.pageouts, 0u);
-}
-
-TEST(MetricsHelperTest, AttachedClockEmits)
-{
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
-    SimClock clock;
-    MetricsRegistry reg(1);
-    clock.setMetricsRegistry(&reg);
-    MetricId c = reg.counter("c");
-    MetricId g = reg.gauge("g");
-    MetricId h = reg.histogram("h");
-
-    EXPECT_TRUE(metricsActive(clock));
-    metricAdd(clock, c, 2);
-    metricGauge(clock, g, -1);
-    metricRecord(clock, h, 1000);
-    EXPECT_EQ(reg.value(c), 2u);
-    EXPECT_EQ(reg.gaugeValue(g), -1);
-    EXPECT_EQ(reg.histogramValue(h).count(), 1u);
-
-    VmAccounting acct;
-    acctFault(clock, &acct, TraceFaultKind::Cow);
-    acctFault(clock, &acct, TraceFaultKind::Cow);
-    acctFault(clock, &acct, TraceFaultKind::Pagein);
-    acctPageout(clock, &acct);
+    acct.countFault(TraceFaultKind::Cow);
+    acct.countFault(TraceFaultKind::Cow);
+    acct.countFault(TraceFaultKind::Pagein);
+    ++acct.pageouts;
     EXPECT_EQ(acct.faults(), 3u);
     EXPECT_EQ(acct.cowFaults(), 2u);
     EXPECT_EQ(acct.pageins(), 1u);
+    EXPECT_EQ(acct.zeroFills(), 0u);
     EXPECT_EQ(acct.pageouts, 1u);
-
-    clock.setMetricsRegistry(nullptr);
-    metricAdd(clock, c);
-    EXPECT_EQ(reg.value(c), 2u);
 }
 
 TEST(VmAccountingTest, MergeSumsEveryKind)

@@ -1,13 +1,15 @@
 /**
  * @file
- * The VM event tracing layer (src/sim/trace.hh): histogram math,
- * ring-buffer wraparound accounting, attach/detach semantics, event
- * ordering, and the event sequence of a copy-on-write fault.
+ * The VM event tracing layer (src/sim/trace.hh): ring-buffer
+ * wraparound accounting, attach/detach semantics, latency histograms
+ * that fill with or without a sink, event ordering, and the event
+ * sequence of a copy-on-write fault.
  */
 
 #include <gtest/gtest.h>
 
 #include "kern/kernel.hh"
+#include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "test_util.hh"
 #include "vm/vm_user.hh"
@@ -16,64 +18,6 @@ namespace mach
 {
 namespace
 {
-
-TEST(LatencyHistogramTest, CountsTotalsAndExtremes)
-{
-    LatencyHistogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-    EXPECT_EQ(h.mean(), 0u);
-
-    h.record(100);
-    h.record(300);
-    h.record(200);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.total(), 600u);
-    EXPECT_EQ(h.min(), 100u);
-    EXPECT_EQ(h.max(), 300u);
-    EXPECT_EQ(h.mean(), 200u);
-}
-
-TEST(LatencyHistogramTest, BucketsAreLog2)
-{
-    LatencyHistogram h;
-    h.record(0);    // bucket 0
-    h.record(1);    // bucket 1
-    h.record(5);    // bucket 3: bit_width(5) == 3
-    h.record(1024); // bucket 11
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(11), 1u);
-    EXPECT_EQ(LatencyHistogram::bucketUpperBound(0), 0u);
-    EXPECT_EQ(LatencyHistogram::bucketUpperBound(3), 7u);
-    EXPECT_EQ(LatencyHistogram::bucketUpperBound(11), 2047u);
-}
-
-TEST(LatencyHistogramTest, QuantileMergeAndReset)
-{
-    LatencyHistogram h;
-    for (int i = 0; i < 90; ++i)
-        h.record(4);       // bucket 3, upper bound 7
-    for (int i = 0; i < 10; ++i)
-        h.record(1000);    // bucket 10, upper bound 1023
-    EXPECT_EQ(h.quantile(0.5), 7u);
-    // The p99 bucket's upper bound (1023) is clamped to the max seen.
-    EXPECT_EQ(h.quantile(0.99), 1000u);
-
-    LatencyHistogram other;
-    other.record(1u << 20);
-    h.merge(other);
-    EXPECT_EQ(h.count(), 101u);
-    EXPECT_EQ(h.max(), 1u << 20);
-    EXPECT_EQ(h.min(), 4u);
-
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.quantile(0.5), 0u);
-}
 
 TEST(TraceSinkTest, RingWraparoundIsLossyButCounted)
 {
@@ -119,8 +63,6 @@ TEST(TraceSinkTest, EventNamesAreStable)
     EXPECT_STREQ(traceEventName(TraceEventType::DiskWrite),
                  "disk_write");
     EXPECT_STREQ(traceFaultKindName(TraceFaultKind::Cow), "cow");
-    EXPECT_STREQ(traceLatencyKindName(TraceLatencyKind::Shootdown),
-                 "shootdown");
 }
 
 /** A kernel-driven workload: zero fill, fork, COW write, pageout. */
@@ -171,45 +113,38 @@ class TraceKernelTest : public ::testing::Test
 
 TEST_F(TraceKernelTest, DetachedSinkSeesNothing)
 {
-    // Never attached: a full workload emits no events and fills no
-    // histograms...
+    // Never attached: a full workload emits no events...
     workload();
     EXPECT_EQ(sink.totalEmitted(), 0u);
-    EXPECT_EQ(sink.histogram(TraceLatencyKind::Fault).count(), 0u);
 
-    // ...and statistics() reports empty histograms.
-    VmStatistics st = kernel->vm->statistics();
-    EXPECT_EQ(st.faultLatency.count(), 0u);
-    EXPECT_EQ(st.pmapOpLatency.count(), 0u);
+    // ...while the latency histograms, which belong to the layers
+    // and not to the sink, fill all the same.
+    MetricsRegistry::Snapshot snap = kernel->vm->metricsSnapshot();
+    LatencyHistogram faults = snap.histogram("vm.fault_ns");
+    EXPECT_GT(faults.count(), 0u);
+    EXPECT_EQ(faults.count(), kernel->vm->stats.faults);
+    EXPECT_EQ(faults, kernel->vm->statistics().faultLatency);
+    EXPECT_GT(snap.histogram("pmap.op_ns").count(), 0u);
 }
 
 TEST_F(TraceKernelTest, DetachStopsEmission)
 {
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
     kernel->machine.clock().setTraceSink(&sink);
     workload();
     std::uint64_t mid = sink.totalEmitted();
     EXPECT_GT(mid, 0u);
-
-    // statistics() folds the attached sink's histograms in.
-    VmStatistics st = kernel->vm->statistics();
-    EXPECT_GT(st.faultLatency.count(), 0u);
-    EXPECT_GT(st.pmapOpLatency.count(), 0u);
-    EXPECT_EQ(st.faultLatency.count(),
-              sink.histogram(TraceLatencyKind::Fault).count());
+    std::uint64_t faults_mid = kernel->vm->stats.faultLatency.count();
+    EXPECT_GT(faults_mid, 0u);
 
     kernel->machine.clock().setTraceSink(nullptr);
     workload();
     EXPECT_EQ(sink.totalEmitted(), mid);
+    // Detaching the sink does not stop the histograms.
+    EXPECT_GT(kernel->vm->stats.faultLatency.count(), faults_mid);
 }
 
 TEST_F(TraceKernelTest, EventsOrderedBySimulatedTime)
 {
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
     kernel->machine.clock().setTraceSink(&sink);
     workload();
     Task *child = kernel->taskFork(*task);
@@ -231,9 +166,6 @@ TEST_F(TraceKernelTest, EventsOrderedBySimulatedTime)
 
 TEST_F(TraceKernelTest, CowFaultEventSequence)
 {
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
     // Build a writable page in the parent before tracing starts.
     VmOffset addr = 0;
     ASSERT_EQ(task->map().allocate(&addr, page, true),
@@ -297,8 +229,8 @@ TEST_F(TraceKernelTest, CowFaultEventSequence)
     // The resolution latency rides in arg1 and lands in the fault
     // histogram.
     EXPECT_GT(sink.at(end).arg1, 0u);
-    EXPECT_GT(sink.histogram(TraceLatencyKind::Fault).count(), 0u);
-    EXPECT_GT(sink.histogram(TraceLatencyKind::PmapOp).count(), 0u);
+    EXPECT_GT(kernel->vm->stats.faultLatency.count(), 0u);
+    EXPECT_GT(kernel->pmaps->pmapOpLatency.count(), 0u);
 
     kernel->machine.clock().setTraceSink(nullptr);
     kernel->taskTerminate(child);
