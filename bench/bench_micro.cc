@@ -105,7 +105,7 @@ BM_MapLookupHinted(benchmark::State &state)
 BENCHMARK(BM_MapLookupHinted)->Arg(8)->Arg(128)->Arg(1024);
 
 void
-BM_ResidentHashLookup(benchmark::State &state)
+BM_ResidentPageLookup(benchmark::State &state)
 {
     VmFixture f;
     VmSize page = f.vm->pageSize();
@@ -121,7 +121,7 @@ BM_ResidentHashLookup(benchmark::State &state)
     }
     obj->deallocate();
 }
-BENCHMARK(BM_ResidentHashLookup);
+BENCHMARK(BM_ResidentPageLookup);
 
 void
 BM_ObjectCreateDestroy(benchmark::State &state)

@@ -217,20 +217,6 @@ LinearPmap::copyFrom(Pmap &src, VmOffset dst_addr, VmSize len,
 }
 
 void
-LinearPmap::trimEmptyTables()
-{
-    for (auto it = tables.begin(); it != tables.end();) {
-        if (it->second->validCount == 0) {
-            it = tables.erase(it);
-            ++lsys.tablePagesFreed;
-            invalidateTableCache();
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
 LinearPmap::garbageCollect()
 {
     // Kernel mappings must stay complete and accurate.

@@ -101,9 +101,6 @@ class LinearPmap : public Pmap
     /** Remove one hw mapping (PTE + pv entry); table GC separate. */
     void invalidatePte(VmOffset va, PtPage &pt, Pte &pte);
 
-    /** Drop table pages with no valid PTEs. */
-    void trimEmptyTables();
-
     /** Forget the cached table page (call after any tables.erase). */
     void
     invalidateTableCache()

@@ -5,21 +5,6 @@
 namespace mach
 {
 
-const char *
-faultOpName(FaultOp op)
-{
-    switch (op) {
-      case FaultOp::DiskRead: return "disk_read";
-      case FaultOp::DiskWrite: return "disk_write";
-      case FaultOp::PagerIn: return "pager_in";
-      case FaultOp::PagerOut: return "pager_out";
-      case FaultOp::NetFetch: return "net_fetch";
-      case FaultOp::ExtRequest: return "ext_request";
-      case FaultOp::NumOps: break;
-    }
-    return "?";
-}
-
 namespace
 {
 

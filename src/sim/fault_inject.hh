@@ -48,9 +48,6 @@ enum class FaultOp : unsigned
     NumOps,
 };
 
-/** Name of a fault op, for reports and test failure messages. */
-const char *faultOpName(FaultOp op);
-
 /** True if @p op moves data toward backing store. */
 constexpr bool
 faultOpIsWrite(FaultOp op)

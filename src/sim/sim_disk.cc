@@ -1,5 +1,6 @@
 #include "sim/sim_disk.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "base/logging.hh"
@@ -11,7 +12,8 @@ namespace mach
 
 SimDisk::SimDisk(SimClock &clock, const CostModel &costs,
                  std::uint64_t capacity_bytes)
-    : clock(clock), costs(costs), store(capacity_bytes, 0)
+    : clock(clock), costs(costs), capacityBytes(capacity_bytes),
+      chunks((capacity_bytes + kChunkBytes - 1) / kChunkBytes)
 {
 }
 
@@ -22,16 +24,55 @@ SimDisk::bindMetrics(MetricsRegistry &reg, const std::string &prefix) const
     reg.bind(prefix + ".writes", &writes);
     reg.bind(prefix + ".bytes", &bytes);
     reg.bind(prefix + ".errors", &errors);
+    reg.bind(prefix + ".resident_bytes", &resident);
     reg.bind(prefix + ".transfer_ns", &transferNs);
 }
 
 void
 SimDisk::checkRange(std::uint64_t offset, std::uint64_t len) const
 {
-    if (offset + len > store.size() || offset + len < offset) {
-        panic("SimDisk access [%llu, %llu) beyond capacity %zu",
+    if (offset + len > capacityBytes || offset + len < offset) {
+        panic("SimDisk access [%llu, %llu) beyond capacity %llu",
               (unsigned long long)offset,
-              (unsigned long long)(offset + len), store.size());
+              (unsigned long long)(offset + len),
+              (unsigned long long)capacityBytes);
+    }
+}
+
+void
+SimDisk::load(std::uint64_t offset, void *buf, std::uint64_t len) const
+{
+    auto *dst = static_cast<std::uint8_t *>(buf);
+    while (len) {
+        std::uint64_t in = offset % kChunkBytes;
+        std::uint64_t n = std::min(len, kChunkBytes - in);
+        const auto &chunk = chunks[offset / kChunkBytes];
+        if (chunk)
+            std::memcpy(dst, chunk.get() + in, n);
+        else
+            std::memset(dst, 0, n);
+        dst += n;
+        offset += n;
+        len -= n;
+    }
+}
+
+void
+SimDisk::store(std::uint64_t offset, const void *buf, std::uint64_t len)
+{
+    auto *src = static_cast<const std::uint8_t *>(buf);
+    while (len) {
+        std::uint64_t in = offset % kChunkBytes;
+        std::uint64_t n = std::min(len, kChunkBytes - in);
+        auto &chunk = chunks[offset / kChunkBytes];
+        if (!chunk) {
+            chunk = std::make_unique<std::uint8_t[]>(kChunkBytes);
+            resident += kChunkBytes;
+        }
+        std::memcpy(chunk.get() + in, src, n);
+        src += n;
+        offset += n;
+        len -= n;
     }
 }
 
@@ -66,7 +107,7 @@ SimDisk::read(std::uint64_t offset, void *buf, std::uint64_t len)
     PagerResult pr = injectionFor(false, offset, len);
     if (pr != PagerResult::Ok)
         return pr;
-    std::memcpy(buf, store.data() + offset, len);
+    load(offset, buf, len);
     SimTime cost = costs.diskCost(len);
     clock.charge(CostKind::Disk, cost);
     ++reads;
@@ -83,7 +124,7 @@ SimDisk::write(std::uint64_t offset, const void *buf, std::uint64_t len)
     PagerResult pr = injectionFor(true, offset, len);
     if (pr != PagerResult::Ok)
         return pr;
-    std::memcpy(store.data() + offset, buf, len);
+    store(offset, buf, len);
     SimTime cost = costs.diskCost(len);
     clock.charge(CostKind::Disk, cost);
     ++writes;
@@ -101,7 +142,7 @@ SimDisk::writeAsync(std::uint64_t offset, const void *buf,
     PagerResult pr = injectionFor(true, offset, len);
     if (pr != PagerResult::Ok)
         return pr;
-    std::memcpy(store.data() + offset, buf, len);
+    store(offset, buf, len);
     SimTime cost = static_cast<SimTime>(costs.diskPerByte * len);
     clock.charge(CostKind::Disk, cost);
     ++writes;

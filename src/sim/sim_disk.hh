@@ -1,16 +1,24 @@
 /**
  * @file
- * Simulated disk: a flat byte-addressed store with latency modeling.
+ * Simulated disk: a byte-addressed store with latency modeling.
  *
  * Backs both the default (swap) pager and the simulated inode file
  * system.  Data is real — bytes written are the bytes later read — so
  * end-to-end integrity through pageout/pagein is testable.
+ *
+ * The store is sparse, zero-filled on demand like the paper's
+ * zero-fill memory: fixed-size chunks are allocated on the first
+ * write into them, and bytes never written read as zero.  A machine
+ * holds host memory in proportion to what it writes, not to its disk
+ * size.  Sparseness is invisible to the simulation: every charge,
+ * counter and capacity check is that of a dense disk.
  */
 
 #ifndef MACH_SIM_SIM_DISK_HH
 #define MACH_SIM_SIM_DISK_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +45,7 @@ class SimDisk
     SimDisk(SimClock &clock, const CostModel &costs,
             std::uint64_t capacity_bytes);
 
-    std::uint64_t capacity() const { return store.size(); }
+    std::uint64_t capacity() const { return capacityBytes; }
 
     /**
      * Read @p len bytes at @p offset into @p buf, charging time.
@@ -74,16 +82,30 @@ class SimDisk
     std::uint64_t ioErrors() const { return errors; }
     /** Simulated device time of every transfer, failed ones too. */
     const LatencyHistogram &latency() const { return transferNs; }
+    /** Host bytes the store holds: written chunks times chunk size. */
+    std::uint64_t residentBytes() const { return resident; }
 
     /**
      * Name this disk's counters and latency histogram in @p reg as
-     * @p prefix.{reads,writes,bytes,errors,transfer_ns}.
+     * @p prefix.{reads,writes,bytes,errors,resident_bytes,transfer_ns}.
      */
     void bindMetrics(MetricsRegistry &reg,
                      const std::string &prefix) const;
 
   private:
+    /**
+     * Store granularity.  64 KB sits below glibc's mmap threshold, so
+     * chunks one machine frees are reused by the next one built in
+     * the same process instead of being faulted in afresh.
+     */
+    static constexpr std::uint64_t kChunkBytes = 64 << 10;
+
     void checkRange(std::uint64_t offset, std::uint64_t len) const;
+
+    /** Copy stored bytes out; unwritten chunks read as zero. */
+    void load(std::uint64_t offset, void *buf, std::uint64_t len) const;
+    /** Copy bytes in, allocating each chunk on its first write. */
+    void store(std::uint64_t offset, const void *buf, std::uint64_t len);
 
     /** Consult the injector; on error charge device time + count. */
     PagerResult injectionFor(bool is_write, std::uint64_t offset,
@@ -91,12 +113,15 @@ class SimDisk
 
     SimClock &clock;
     const CostModel &costs;
-    std::vector<std::uint8_t> store;
+    std::uint64_t capacityBytes;
+    /** One slot per chunk of the disk; null until first written. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks;
     FaultInjector *inject = nullptr;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t bytes = 0;
     std::uint64_t errors = 0;
+    std::uint64_t resident = 0;
     LatencyHistogram transferNs;
 };
 

@@ -498,17 +498,23 @@ VmMap::fork(Pmap *child_pmap)
           }
 
           case VmInherit::Copy: {
-            VmMapEntry e = *it;
-            e.wiredCount = 0;
             if (it->isSubMap()) {
                 // Copy-inheritance of an already-shared region: the
-                // child shares too (the region's contents are owned
-                // by the sharing map).  Documented simplification.
-                e.submap->reference();
-                child->entries.push_back(e);
-                chargeEntryOp();
+                // child gets a virtual copy of what the sharing map
+                // holds, as vm_copy out of a shared region does.
+                std::list<VmMapEntry> inner;
+                if (it->submap->copyIn(it->offset, it->size(), &inner) !=
+                    KernReturn::Success)
+                    panic("fork: sharing map does not cover its entry");
+                for (VmMapEntry &e : inner) {
+                    e.start += it->start;
+                    e.end += it->start;
+                    child->entries.push_back(e);
+                }
                 break;
             }
+            VmMapEntry e = *it;
+            e.wiredCount = 0;
             if (it->object) {
                 e.object->reference();
                 bool was_needs_copy = it->needsCopy;

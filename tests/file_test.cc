@@ -1,14 +1,18 @@
 /**
  * @file
- * File system, buffer cache, vnode pager, memory-mapped files and
- * the Mach read() emulation with its object cache.
+ * The sparse simulated disk, file system, buffer cache, vnode pager,
+ * memory-mapped files and the Mach read() emulation with its object
+ * cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fs/buffer_cache.hh"
 #include "fs/simfs.hh"
 #include "kern/kernel.hh"
+#include "sim/fault_inject.hh"
 #include "test_util.hh"
 #include "vm/vm_object.hh"
 
@@ -81,6 +85,107 @@ TEST(SimFs, RemoveFreesBlocksForReuse)
         fs.remove("big");
     }
     SUCCEED();
+}
+
+/** The disk's store chunk: writes that cross it exercise two chunks. */
+constexpr std::uint64_t kDiskChunk = 64 << 10;
+
+TEST(SimDisk, NeverWrittenBytesReadAsZero)
+{
+    MachineSpec spec = test::tinySpec(ArchType::Vax);
+    Machine m(spec);
+    SimDisk disk(m.clock(), spec.costs, 1 << 20);
+    EXPECT_EQ(disk.capacity(), 1u << 20);
+    EXPECT_EQ(disk.residentBytes(), 0u);
+
+    std::vector<std::uint8_t> out(3 * kDiskChunk, 0xff);
+    ASSERT_EQ(disk.read(0, out.data(), out.size()), PagerResult::Ok);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(out.size(), 0));
+    EXPECT_EQ(disk.residentBytes(), 0u);
+
+    // Bytes around and past the last write, in its chunk and beyond,
+    // still read as zero; the write itself allocated one chunk.
+    auto data = test::pattern(100, 4);
+    ASSERT_EQ(disk.write(kDiskChunk + 10, data.data(), data.size()),
+              PagerResult::Ok);
+    EXPECT_EQ(disk.residentBytes(), kDiskChunk);
+    std::fill(out.begin(), out.end(), 0xff);
+    ASSERT_EQ(disk.read(0, out.data(), out.size()), PagerResult::Ok);
+    for (std::uint64_t i = 0; i < out.size(); ++i) {
+        std::uint8_t want = i >= kDiskChunk + 10 && i < kDiskChunk + 110
+            ? data[i - kDiskChunk - 10] : 0;
+        ASSERT_EQ(out[i], want) << "byte " << i;
+    }
+    std::uint8_t last = 0xff;
+    ASSERT_EQ(disk.read(disk.capacity() - 1, &last, 1), PagerResult::Ok);
+    EXPECT_EQ(last, 0);
+}
+
+TEST(SimDisk, WriteStraddlingChunksReadsBackIntact)
+{
+    MachineSpec spec = test::tinySpec(ArchType::Vax);
+    Machine m(spec);
+    SimDisk disk(m.clock(), spec.costs, 1 << 20);
+
+    auto data = test::pattern(kDiskChunk + 8192, 5);
+    std::uint64_t at = 2 * kDiskChunk - 4096;  // spans three chunks
+    ASSERT_EQ(disk.write(at, data.data(), data.size()), PagerResult::Ok);
+    EXPECT_EQ(disk.residentBytes(), 3 * kDiskChunk);
+
+    std::vector<std::uint8_t> out(data.size());
+    ASSERT_EQ(disk.read(at, out.data(), out.size()), PagerResult::Ok);
+    EXPECT_EQ(out, data);
+    // A read of just the bytes on either side of one boundary.
+    std::uint8_t pair[2] = {};
+    ASSERT_EQ(disk.read(2 * kDiskChunk - 1, pair, 2), PagerResult::Ok);
+    EXPECT_EQ(pair[0], data[4095]);
+    EXPECT_EQ(pair[1], data[4096]);
+    EXPECT_EQ(disk.bytesTransferred(), data.size() * 2 + 2);
+}
+
+TEST(SimDisk, FailedWriteAllocatesNothingAndChangesNothing)
+{
+    MachineSpec spec = test::tinySpec(ArchType::Vax);
+    Machine m(spec);
+    SimDisk disk(m.clock(), spec.costs, 1 << 20);
+    auto old_data = test::pattern(4096, 6);
+    ASSERT_EQ(disk.write(0, old_data.data(), old_data.size()),
+              PagerResult::Ok);
+    ASSERT_EQ(disk.residentBytes(), kDiskChunk);
+
+    FaultPlan plan;
+    plan.writeErrorRate = 1.0;
+    plan.permanentFraction = 1.0;
+    FaultInjector inj(plan);
+    disk.setFaultInjector(&inj);
+    auto new_data = test::pattern(2 * kDiskChunk, 7);
+    // Over written bytes and into a chunk never written.
+    EXPECT_EQ(disk.write(0, new_data.data(), new_data.size()),
+              PagerResult::PermanentError);
+    EXPECT_EQ(disk.writeAsync(0, new_data.data(), new_data.size()),
+              PagerResult::PermanentError);
+    EXPECT_EQ(disk.ioErrors(), 2u);
+    EXPECT_EQ(disk.residentBytes(), kDiskChunk);
+
+    disk.setFaultInjector(nullptr);
+    std::vector<std::uint8_t> out(new_data.size());
+    ASSERT_EQ(disk.read(0, out.data(), out.size()), PagerResult::Ok);
+    std::vector<std::uint8_t> want(out.size(), 0);
+    std::copy(old_data.begin(), old_data.end(), want.begin());
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(disk.residentBytes(), kDiskChunk);
+}
+
+TEST(SimDiskDeathTest, AccessPastCapacityPanics)
+{
+    MachineSpec spec = test::tinySpec(ArchType::Vax);
+    Machine m(spec);
+    SimDisk disk(m.clock(), spec.costs, 1 << 20);
+    std::uint8_t b = 0;
+    EXPECT_DEATH(disk.read(disk.capacity(), &b, 1), "beyond capacity");
+    EXPECT_DEATH(disk.write(disk.capacity() - 1, &b, 2),
+                 "beyond capacity");
+    EXPECT_DEATH(disk.read(~std::uint64_t(0), &b, 2), "beyond capacity");
 }
 
 TEST(BufferCache, HitAvoidsDisk)

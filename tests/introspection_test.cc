@@ -293,6 +293,38 @@ TEST_F(IntrospectionTest, DaemonMetricsCountPageoutPasses)
     (void)pg;
 }
 
+TEST_F(IntrospectionTest, DisksHoldHostMemoryOnlyOnceWritten)
+{
+    // The disk stores are sparse: a freshly booted kernel has written
+    // neither disk, so neither holds a byte of host memory.
+    MachineSpec tiny = test::tinySpec(ArchType::Vax, 1);
+    tiny.physMemBytes = 64 << 10;
+    Kernel small(tiny);
+    const MetricsRegistry &reg = small.vm->metrics;
+    MetricId fs = reg.find("disk.fs.resident_bytes");
+    MetricId swap = reg.find("disk.swap.resident_bytes");
+    ASSERT_TRUE(fs.valid());
+    ASSERT_TRUE(swap.valid());
+    EXPECT_EQ(reg.value(fs), 0u);
+    EXPECT_EQ(reg.value(swap), 0u);
+
+    // Writing twice the physical size forces pageouts to swap.
+    Task *task = small.taskCreate();
+    VmOffset addr = 0;
+    VmSize total = 128 * 1024;
+    ASSERT_EQ(task->map().allocate(&addr, total, true),
+              KernReturn::Success);
+    auto data = test::pattern(total, 8);
+    ASSERT_EQ(small.taskWrite(*task, addr, data.data(), data.size()),
+              KernReturn::Success);
+    ASSERT_GT(small.vm->stats.pageouts, 0u);
+
+    EXPECT_GT(reg.value(swap), 0u);
+    EXPECT_EQ(reg.value(swap), small.swapDisk.residentBytes());
+    EXPECT_LT(reg.value(swap), small.swapDisk.capacity());
+    EXPECT_EQ(reg.value(fs), 0u);
+}
+
 /** What one run of the non-perturbation workload leaves behind. */
 struct RunResult
 {

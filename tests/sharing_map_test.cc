@@ -198,5 +198,75 @@ TEST_F(SharingTest, ShareMapRefCountsSurviveChurn)
     EXPECT_EQ(kernel->vm->liveObjects, 0u);
 }
 
+/**
+ * Copy inheritance of a region an earlier fork already shared.  The
+ * sharing map backs only the tasks that share; a child that inherits
+ * by copy gets its own virtual copy (section 2.1), so no write on
+ * either side crosses over.  Replayed on every pmap backend.
+ */
+class CopyOfSharedRegionTest : public ::testing::TestWithParam<ArchType>
+{
+};
+
+TEST_P(CopyOfSharedRegionTest, CopyInheritedChildGetsAPrivateCopy)
+{
+    Kernel kernel(test::tinySpec(GetParam(), 4));
+    VmSize page = kernel.pageSize();
+    Task *parent = kernel.taskCreate();
+    VmOffset addr = 0;
+    ASSERT_EQ(parent->map().allocate(&addr, page, true),
+              KernReturn::Success);
+    std::uint8_t one = 1;
+    ASSERT_EQ(kernel.taskWrite(*parent, addr, &one, 1),
+              KernReturn::Success);
+    ASSERT_EQ(vmInherit(*kernel.vm, parent->map(), addr, page,
+                        VmInherit::Share),
+              KernReturn::Success);
+    Task *sharer = kernel.taskFork(*parent);
+    ASSERT_EQ(vmInherit(*kernel.vm, parent->map(), addr, page,
+                        VmInherit::Copy),
+              KernReturn::Success);
+    Task *copier = kernel.taskFork(*parent);
+
+    // The copy's write reaches neither sharer.
+    std::uint8_t two = 2;
+    ASSERT_EQ(kernel.taskWrite(*copier, addr, &two, 1),
+              KernReturn::Success);
+    std::uint8_t seen = 0;
+    ASSERT_EQ(kernel.taskRead(*parent, addr, &seen, 1),
+              KernReturn::Success);
+    EXPECT_EQ(seen, 1);
+    ASSERT_EQ(kernel.taskRead(*sharer, addr, &seen, 1),
+              KernReturn::Success);
+    EXPECT_EQ(seen, 1);
+    ASSERT_EQ(kernel.taskRead(*copier, addr, &seen, 1),
+              KernReturn::Success);
+    EXPECT_EQ(seen, 2);
+
+    // The sharers still share with each other, and not with the copy.
+    std::uint8_t three = 3;
+    ASSERT_EQ(kernel.taskWrite(*sharer, addr, &three, 1),
+              KernReturn::Success);
+    ASSERT_EQ(kernel.taskRead(*parent, addr, &seen, 1),
+              KernReturn::Success);
+    EXPECT_EQ(seen, 3);
+    ASSERT_EQ(kernel.taskRead(*copier, addr, &seen, 1),
+              KernReturn::Success);
+    EXPECT_EQ(seen, 2);
+
+    kernel.taskTerminate(copier);
+    kernel.taskTerminate(sharer);
+    kernel.taskTerminate(parent);
+    kernel.vm->flushCache();
+    EXPECT_EQ(kernel.vm->liveObjects, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchitectures, CopyOfSharedRegionTest,
+    ::testing::ValuesIn(test::allArchs()),
+    [](const ::testing::TestParamInfo<ArchType> &info) {
+        return test::archLabel(info.param);
+    });
+
 } // namespace
 } // namespace mach
