@@ -12,8 +12,7 @@ namespace mach
 
 SimDisk::SimDisk(SimClock &clock, const CostModel &costs,
                  std::uint64_t capacity_bytes)
-    : clock(clock), costs(costs), capacityBytes(capacity_bytes),
-      chunks((capacity_bytes + kChunkBytes - 1) / kChunkBytes)
+    : clock(clock), costs(costs), capacityBytes(capacity_bytes)
 {
 }
 
@@ -44,11 +43,11 @@ SimDisk::load(std::uint64_t offset, void *buf, std::uint64_t len) const
 {
     auto *dst = static_cast<std::uint8_t *>(buf);
     while (len) {
+        std::uint64_t idx = offset / kChunkBytes;
         std::uint64_t in = offset % kChunkBytes;
         std::uint64_t n = std::min(len, kChunkBytes - in);
-        const auto &chunk = chunks[offset / kChunkBytes];
-        if (chunk)
-            std::memcpy(dst, chunk.get() + in, n);
+        if (idx < chunks.size() && chunks[idx])
+            std::memcpy(dst, chunks[idx].get() + in, n);
         else
             std::memset(dst, 0, n);
         dst += n;
@@ -61,6 +60,8 @@ void
 SimDisk::store(std::uint64_t offset, const void *buf, std::uint64_t len)
 {
     auto *src = static_cast<const std::uint8_t *>(buf);
+    if (chunks.empty())
+        chunks.resize((capacityBytes + kChunkBytes - 1) / kChunkBytes);
     while (len) {
         std::uint64_t in = offset % kChunkBytes;
         std::uint64_t n = std::min(len, kChunkBytes - in);

@@ -114,7 +114,13 @@ class SimDisk
     SimClock &clock;
     const CostModel &costs;
     std::uint64_t capacityBytes;
-    /** One slot per chunk of the disk; null until first written. */
+    /**
+     * One slot per chunk, null until that chunk is first written.  The
+     * table itself is sized by the first write, so a disk never
+     * written allocates nothing: sized at boot, its 12 KB moved the
+     * heap layout of the disk-free smp benchmark workload, which ran
+     * 6% fewer steps/s (12 alternating pinned 3 s runs, 4-core x86).
+     */
     std::vector<std::unique_ptr<std::uint8_t[]>> chunks;
     FaultInjector *inject = nullptr;
     std::uint64_t reads = 0;
